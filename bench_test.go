@@ -89,7 +89,7 @@ func benchmarkLongScan(b *testing.B, keyRange int64) {
 			// Figure 1/6 finding), and a b.N loop over an operation that
 			// never completes cannot terminate. Their under-churn
 			// behaviour is measured as throughput-over-time by
-			// `cmd/smrbench fig6`, which tolerates zero completions;
+			// the fig1 grid experiment, which tolerates zero completions;
 			// here they get the bare scan cost.
 			var stop atomic.Bool
 			var wg sync.WaitGroup
@@ -140,7 +140,7 @@ func BenchmarkFig1LongRunning(b *testing.B) { benchmarkLongScan(b, 1<<12) }
 // largest at which the restart-from-entry schemes still complete scans at
 // all (beyond it NBR/VBR starve outright, Figure 6's collapse, and a b.N
 // loop over a never-completing operation cannot terminate; the full sweep
-// is `cmd/smrbench fig6`).
+// is the fig1 grid experiment, `smrbench grid -experiments fig1`).
 func BenchmarkFig6KeyRange(b *testing.B) { benchmarkLongScan(b, 1<<13) }
 
 // --- Figure 5: read-only throughput -------------------------------------
@@ -204,7 +204,7 @@ func BenchmarkFig7SkipListReadWrite(b *testing.B) {
 // --- Appendix B: representative grid points ------------------------------
 
 // BenchmarkAppendixB covers one representative point per structure × mix;
-// the full grid is `cmd/smrbench appendixB`.
+// the full grid is `smrbench grid -experiments appendixB`.
 func BenchmarkAppendixB(b *testing.B) {
 	for _, st := range bench.Structures {
 		for _, mix := range bench.Mixes {
@@ -280,7 +280,7 @@ func BenchmarkTable2Stalled(b *testing.B) {
 			}
 			// There is no public "stall inside a critical section" hook on
 			// the Map API; approximate with a reader that holds no ops —
-			// the scheme-level stall experiment is `smrbench table2` and
+			// the scheme-level stall experiment is the table2 grid experiment and
 			// TestRobustnessStalledThread.
 			h := m.Register()
 			defer h.Unregister()

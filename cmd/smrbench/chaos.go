@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
+	"text/tabwriter"
 
 	hpbrcu "github.com/smrgo/hpbrcu"
 	"github.com/smrgo/hpbrcu/internal/bench"
@@ -151,7 +153,7 @@ func runChaos() {
 			}
 		}
 	}
-	emit(header, rows)
+	printTable(header, rows)
 
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "\n%d invariant violation(s):\n", len(failures))
@@ -243,7 +245,7 @@ func runArenaLeakSweep() {
 			}
 		}
 	}
-	emit(header, rows)
+	printTable(header, rows)
 
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "\n%d invariant violation(s):\n", len(failures))
@@ -316,7 +318,7 @@ func runShardWedgeSweep() {
 			strconv.FormatInt(reaped, 10),
 		})
 	}
-	emit(header, rows)
+	printTable(header, rows)
 
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "\n%d invariant violation(s):\n", len(failures))
@@ -326,4 +328,15 @@ func runShardWedgeSweep() {
 		os.Exit(1)
 	}
 	fmt.Println("all runs survived: both-ways shard isolation held")
+}
+
+type row []string
+
+// printTable prints a sweep's result table with aligned columns.
+func printTable(header row, rows []row) {
+	w := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	for _, r := range append([]row{header}, rows...) {
+		fmt.Fprintln(w, "  "+strings.Join(r, "\t"))
+	}
+	w.Flush()
 }

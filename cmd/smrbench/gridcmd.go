@@ -12,14 +12,15 @@ package main
 //	smrbench grid -trajectory          # compare vs committed baselines instead of overwriting
 //
 // -trajectory mode diffs the fresh grid against the committed
-// baselines (BENCH_<experiment>.json in -baseline-dir) and prints a
-// per-point delta report: improved / regressed / unchanged, with each
-// point's own ±2σ noise band (std-aware, so run-to-run jitter is never
-// reported as movement). The gate exits nonzero on any §5 memory-bound
-// violation or shrunk point coverage at every tolerance, and
-// additionally on regressed points when -tolerance < 1 (same-machine
-// mode); tolerance ≥ 1 keeps the cross-machine semantics CI uses. See
-// DESIGN.md §13.
+// baselines (BENCH_<experiment>.json in -baseline-dir) through
+// bench.Trajectory and prints a per-point delta report: improved /
+// regressed / unchanged, with each point's own ±2σ noise band
+// (std-aware, so run-to-run jitter is never reported as movement). The
+// gate exits nonzero on a schema or experiment mismatch, any §5
+// memory-bound violation or shrunk point coverage at every tolerance,
+// and additionally on points below baseline·(1-tolerance) when
+// -tolerance < 1 (same-machine mode); tolerance ≥ 1 keeps the
+// cross-machine semantics CI uses. See DESIGN.md §13.
 
 import (
 	"flag"
@@ -41,12 +42,11 @@ func runGrid(args []string) {
 	dur := fs.Duration("duration", 0, "measurement time per point (0 = the spec's)")
 	seed := fs.Uint64("seed", 0, "workload seed (0 = the spec's)")
 	outDir := fs.String("out", ".", "directory to write BENCH_<experiment>.json, GRID.csv and GRID.md into")
-	schemeList := fs.String("schemes", "", "comma-separated scheme filter on top of the spec's")
+	schemeList := fs.String("schemes", *schemes, "comma-separated scheme filter on top of the spec's (default: the global -schemes)")
 	expList := fs.String("experiments", "", "comma-separated experiment filter (run only these entries of the spec)")
 	trajectory := fs.Bool("trajectory", false, "diff against committed baselines instead of overwriting them")
 	baseDir := fs.String("baseline-dir", ".", "directory holding the baseline BENCH_*.json for -trajectory")
 	tolerance := fs.Float64("tolerance", 0.15, "trajectory noise floor and throughput gate; >=1 = cross-machine mode (regressions informational, bounds and coverage still gate)")
-	allocSel := fs.String("alloc", "", "allocator sweep override: pool, arena or both (empty = the spec's)")
 	requireGC := fs.Bool("require-gc", false, "fail unless every emitted point carries non-negative GC-pressure columns (and some point measured real allocation)")
 	fs.Parse(args)
 
@@ -94,19 +94,16 @@ func runGrid(args []string) {
 		}
 		opts.Schemes = sel
 	}
-	if *allocSel != "" {
-		sel, err := parseAllocs(*allocSel)
-		if err != nil {
-			fatalArg(err)
-		}
-		opts.Allocators = sel
-	}
-
-	// As in `smrbench bench`: the critical-section histograms only record
-	// while the obs layer is on, and the committed baselines are measured
-	// with it on, so the overhead cancels out of every comparison.
+	// The critical-section histograms only record while the obs layer is
+	// on, and the committed baselines are measured with it on (recorded
+	// as environment.obs in every report), so the overhead cancels out of
+	// every comparison. The grid reads only the histograms, never the
+	// per-handle event rings, and the collector keeps every ring for the
+	// life of the process, so its rings hold one event: a VBR hash-map
+	// handle registers one ring per bucket, and full rings cost ~1 GB per
+	// 100K-key map.
 	if !obs.On {
-		obs.Activate(obs.NewCollector(obs.DefaultRingSize))
+		obs.Activate(obs.NewCollector(1))
 	}
 
 	t0 := time.Now()
@@ -168,10 +165,6 @@ func runGrid(args []string) {
 
 	// Trajectory mode: never overwrites; every experiment in the grid
 	// must have a committed baseline to diff against.
-	floor := *tolerance
-	if floor >= 1 {
-		floor = 0.05
-	}
 	failed := false
 	for _, f := range files {
 		path := filepath.Join(*baseDir, "BENCH_"+f.Experiment+".json")
@@ -180,8 +173,7 @@ func runGrid(args []string) {
 			fmt.Fprintf(os.Stderr, "grid: %v\n", err)
 			os.Exit(1)
 		}
-		problems, warnings := bench.Compare(base, f, *tolerance)
-		rows := bench.Trajectory(base, f, floor)
+		rows, problems, warnings := bench.Trajectory(base, f, *tolerance)
 		var improved, regressed, unchanged int
 		for _, r := range rows {
 			switch r.Verdict {
@@ -196,9 +188,6 @@ func runGrid(args []string) {
 		fmt.Println(bench.TrajectoryMarkdown(f.Experiment, rows))
 		for _, w := range warnings {
 			fmt.Printf("  warning: %s\n", w)
-		}
-		if *tolerance < 1 && regressed > 0 {
-			problems = append(problems, fmt.Sprintf("%s: %d point(s) regressed beyond their noise band", f.Experiment, regressed))
 		}
 		if len(problems) == 0 {
 			fmt.Printf("grid %s: OK (%d improved, %d unchanged, %d regressed; bounds hold, coverage intact)\n\n",

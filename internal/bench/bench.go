@@ -225,16 +225,19 @@ func RunMixed(cfg MixedConfig) Result {
 		stop  atomic.Bool
 		total atomic.Int64
 		wg    sync.WaitGroup
+		ready sync.WaitGroup
 		start = make(chan struct{})
 	)
 	for w := 0; w < cfg.Threads; w++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(id uint64) {
 			defer wg.Done()
 			labelWorker(cfg.Structure, cfg.Scheme, "mixed")
 			h := m.Register()
 			defer h.Unregister()
 			rng := atomicx.NewRand(mixedWorkerSeed(cfg.Seed, id))
+			ready.Done()
 			<-start
 			ops := int64(0)
 			for !stop.Load() {
@@ -257,6 +260,10 @@ func RunMixed(cfg MixedConfig) Result {
 		}(uint64(w))
 	}
 
+	// Registration stays out of the window: a VBR hash-map handle
+	// registers one sub-handle per bucket, which would otherwise be
+	// charged to the first milliseconds of the measurement.
+	ready.Wait()
 	gc0 := readGCSample()
 	t0 := time.Now()
 	close(start)

@@ -5,11 +5,12 @@ package bench
 // how many measured repeats after how many warmup runs, per-experiment
 // sweep overrides), this engine executes every point N times and
 // aggregates the repeats into schema-2 BenchFiles (mean/std/min/max
-// throughput per point), and the Trajectory diff classifies each point
+// throughput per point), and the Trajectory gate classifies each point
 // against a committed baseline as improved / regressed / unchanged with
 // the point's own measured noise (±2σ) deciding what counts as
-// movement. CSV and markdown emitters turn one grid run into the table
-// EXPERIMENTS.md quotes. See DESIGN.md §13.
+// movement, and fails on shrunk coverage, §5 bound violations and
+// (same-machine) regressions. CSV and markdown emitters turn one grid
+// run into the table EXPERIMENTS.md quotes. See DESIGN.md §13.
 
 import (
 	"encoding/json"
@@ -57,10 +58,11 @@ type GridExperiment struct {
 	// Schemes restricts the scheme sweep by display name (hpbrcu.Scheme
 	// strings, case-insensitive); empty runs all schemes.
 	Schemes []string `json:"schemes,omitempty"`
-	// KeyRangeExps overrides fig1's key-range exponents (each in [1,30],
-	// the same validity window as smrbench's -ranges flag).
+	// KeyRangeExps overrides fig1's key-range exponents (each in [1,30]:
+	// the key range is 1<<n).
 	KeyRangeExps []int `json:"key_range_exps,omitempty"`
-	// Threads overrides fig5's pinned thread count.
+	// Threads overrides the mixed-workload experiments' pinned thread
+	// count.
 	Threads int `json:"threads,omitempty"`
 	// PoolSizes overrides the pool experiment's ceiling sweep.
 	PoolSizes []int `json:"pool_sizes,omitempty"`
@@ -76,8 +78,8 @@ type GridExperiment struct {
 	// HP-BRCU only and get "/shards=N"-suffixed workload names, so a
 	// sweep containing 1 keeps every baseline point name intact.
 	Shards []int `json:"shards,omitempty"`
-	// Allocs is the allocator sweep of the fig1 and fig5 experiments
-	// ("pool", "arena"; default ["pool"]). Arena points get
+	// Allocs is the allocator sweep of fig1 and the mixed-workload
+	// experiments ("pool", "arena"; default ["pool"]). Arena points get
 	// "/alloc=arena"-suffixed workload names so a sweep containing
 	// "pool" keeps every baseline point name intact. See DESIGN.md §16.
 	Allocs []string `json:"allocs,omitempty"`
@@ -158,7 +160,7 @@ func (s *GridSpec) validate() error {
 				return fmt.Errorf("grid: %s: shard count %d out of [1,64]", e.Name, n)
 			}
 		}
-		if _, err := ParseAllocNames(e.Allocs); err != nil {
+		if _, err := parseAllocNames(e.Allocs); err != nil {
 			return fmt.Errorf("grid: %s: %w", e.Name, err)
 		}
 		if _, err := parseSchemeNames(e.Schemes); err != nil {
@@ -168,11 +170,10 @@ func (s *GridSpec) validate() error {
 	return nil
 }
 
-// ParseAllocNames resolves allocator names ("pool"/"arena",
+// parseAllocNames resolves allocator names ("pool"/"arena",
 // case-insensitive) to hpbrcu.Allocator values; nil input means the
-// default pool-only sweep and returns nil. Shared with smrbench's
-// -alloc flag so the CLI and experiments.json accept the same spelling.
-func ParseAllocNames(names []string) ([]hpbrcu.Allocator, error) {
+// default pool-only sweep and returns nil.
+func parseAllocNames(names []string) ([]hpbrcu.Allocator, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
@@ -224,15 +225,14 @@ type GridOptions struct {
 	// Schemes filters every experiment's scheme sweep on top of any
 	// per-experiment restriction.
 	Schemes []hpbrcu.Scheme
-	// Allocators, when non-empty, replaces every experiment's allocator
-	// sweep (the `smrbench grid -alloc` flag).
-	Allocators []hpbrcu.Allocator
 	// Logf, when set, receives one progress line per pipeline run.
 	Logf func(format string, args ...any)
 }
 
 // effective resolves the per-experiment repeat/warmup/duration/seed
-// after spec defaults, experiment overrides and CLI overrides.
+// after spec defaults, experiment overrides and CLI overrides. A zero
+// duration or seed means neither set one: PipelineConfig.normalize
+// owns those defaults.
 func (s *GridSpec) effective(e *GridExperiment, opts GridOptions) (repeats, warmup int, dur time.Duration, seed uint64) {
 	repeats = 3
 	if s.Repeats > 0 {
@@ -257,17 +257,11 @@ func (s *GridSpec) effective(e *GridExperiment, opts GridOptions) (repeats, warm
 	if opts.Warmup >= 0 {
 		warmup = opts.Warmup
 	}
-	dur = 300 * time.Millisecond
-	if s.DurationMS > 0 {
-		dur = time.Duration(s.DurationMS) * time.Millisecond
-	}
+	dur = time.Duration(s.DurationMS) * time.Millisecond
 	if opts.Duration > 0 {
 		dur = opts.Duration
 	}
-	seed = uint64(DefaultBenchSeed)
-	if s.Seed != 0 {
-		seed = s.Seed
-	}
+	seed = s.Seed
 	if opts.Seed != 0 {
 		seed = opts.Seed
 	}
@@ -296,12 +290,9 @@ func RunGrid(spec *GridSpec, opts GridOptions) ([]*BenchFile, error) {
 			return nil, err // unreachable after validate; kept for safety
 		}
 		schemes = intersectSchemes(schemes, opts.Schemes)
-		allocs, err := ParseAllocNames(e.Allocs)
+		allocs, err := parseAllocNames(e.Allocs)
 		if err != nil {
 			return nil, err // unreachable after validate; kept for safety
-		}
-		if len(opts.Allocators) > 0 {
-			allocs = opts.Allocators
 		}
 		cfg := PipelineConfig{
 			Seed: seed, Duration: dur, Schemes: schemes,
@@ -457,8 +448,8 @@ func summarize(xs []float64) PointStats {
 // and a fresh grid run.
 type TrajectoryVerdict string
 
-// The trajectory verdicts. Missing is the only one Compare also fails
-// on; Regressed fails the gate only in same-machine mode (tolerance<1).
+// The trajectory verdicts. Missing always fails the gate; Regressed
+// fails it only in same-machine mode (tolerance < 1).
 const (
 	TrajImproved  TrajectoryVerdict = "improved"
 	TrajRegressed TrajectoryVerdict = "regressed"
@@ -477,20 +468,57 @@ type TrajectoryPoint struct {
 	// DeltaPct is (cur-base)/base·100 (0 when base is 0 or absent).
 	DeltaPct float64
 	// Noise is the movement threshold in ops/s the verdict used: the
-	// larger of 2·std on either side, floored at floor·base.
+	// larger of 2·std on either side, floored at the relative noise
+	// floor times base.
 	Noise float64
 }
 
-// Trajectory diffs a fresh grid run against a baseline, std-aware: a
-// point only counts as moved when |cur-base| exceeds twice the larger
-// of the two sides' standard deviations, and never for less than
-// floor·base (relative floor, e.g. 0.05) — so run-to-run noise is
-// reported as "unchanged", not as movement. Schema-1 baselines carry no
-// std and fall back to the relative floor alone. Points present on only
-// one side come back as TrajNew / TrajMissing. Rows are sorted by
-// (workload, scheme).
-func Trajectory(baseline, current *BenchFile, floor float64) []TrajectoryPoint {
-	if floor <= 0 {
+// Trajectory is the benchmark gate: it diffs a fresh grid run against
+// a baseline, point by point over the (workload, scheme) index, and
+// returns the per-point rows plus one problem per gate failure (empty
+// means the gate passes).
+//
+// The rows are std-aware: a point only counts as moved when |cur-base|
+// exceeds twice the larger of the two sides' standard deviations, and
+// never for less than floor·base, where the floor is the tolerance in
+// same-machine mode and 5% otherwise — so run-to-run noise is reported
+// as "unchanged", not as movement. Points present on only one side come
+// back as TrajNew / TrajMissing. Rows are sorted by (workload, scheme).
+//
+// The problems are:
+//
+//   - a schema other than ReportSchema on either side, or an experiment
+//     mismatch (nothing else is checked then);
+//   - a baseline point missing from current (coverage must not shrink);
+//   - any current point whose PeakUnreclaimed exceeds its §5 bound —
+//     checked at every tolerance: the bound is the paper's robustness
+//     claim, not a performance preference;
+//   - with tolerance < 1 (same machine) only: a point below
+//     base·(1-tolerance), which includes every point regressed beyond
+//     its noise band (that band is never narrower than the floor). A
+//     tolerance ≥ 1 is the cross-machine mode CI uses, where absolute
+//     ops/s are meaningless between hosts.
+//
+// warnings carries the points present in current but absent from
+// baseline. A renamed workload shows up as a missing-point problem AND
+// a new-point warning, so the rename's new half never passes silently.
+func Trajectory(baseline, current *BenchFile, tolerance float64) (rows []TrajectoryPoint, problems, warnings []string) {
+	for _, side := range []struct {
+		name string
+		f    *BenchFile
+	}{{"baseline", baseline}, {"current", current}} {
+		if side.f.Schema != ReportSchema {
+			problems = append(problems, fmt.Sprintf("%s schema %d, want %d (regenerate it with smrbench grid)", side.name, side.f.Schema, ReportSchema))
+		}
+	}
+	if baseline.Experiment != current.Experiment {
+		problems = append(problems, fmt.Sprintf("experiment mismatch: baseline %q vs current %q", baseline.Experiment, current.Experiment))
+	}
+	if len(problems) > 0 {
+		return nil, problems, nil
+	}
+	floor := tolerance
+	if floor <= 0 || floor >= 1 {
 		floor = 0.05
 	}
 	type key struct{ workload, scheme string }
@@ -498,17 +526,21 @@ func Trajectory(baseline, current *BenchFile, floor float64) []TrajectoryPoint {
 	for _, p := range baseline.Points {
 		baseIdx[key{p.Workload, p.Scheme}] = p
 	}
-	curIdx := make(map[key]BenchPoint, len(current.Points))
-	for _, p := range current.Points {
-		curIdx[key{p.Workload, p.Scheme}] = p
-	}
-	var out []TrajectoryPoint
-	for k, c := range curIdx {
-		tp := TrajectoryPoint{Workload: k.workload, Scheme: k.scheme, CurOps: c.OpsPerSec}
+	curIdx := make(map[key]bool, len(current.Points))
+	for _, c := range current.Points {
+		k := key{c.Workload, c.Scheme}
+		curIdx[k] = true
+		if c.Bound >= 0 && c.PeakUnreclaimed > c.Bound {
+			problems = append(problems, fmt.Sprintf("%s: %s/%s violates the §5 memory bound: peak %d > bound %d",
+				current.Experiment, c.Workload, c.Scheme, c.PeakUnreclaimed, c.Bound))
+		}
+		tp := TrajectoryPoint{Workload: c.Workload, Scheme: c.Scheme, CurOps: c.OpsPerSec}
 		b, ok := baseIdx[k]
 		if !ok {
 			tp.Verdict = TrajNew
-			out = append(out, tp)
+			rows = append(rows, tp)
+			warnings = append(warnings, fmt.Sprintf("%s: point %s/%s is new (not in baseline) — a rename, or coverage the baseline predates; regenerate the baseline to adopt it",
+				current.Experiment, c.Workload, c.Scheme))
 			continue
 		}
 		tp.BaseOps = b.OpsPerSec
@@ -532,23 +564,30 @@ func Trajectory(baseline, current *BenchFile, floor float64) []TrajectoryPoint {
 		default:
 			tp.Verdict = TrajRegressed
 		}
-		out = append(out, tp)
+		rows = append(rows, tp)
+		if tolerance < 1 && c.OpsPerSec < b.OpsPerSec*(1-tolerance) {
+			problems = append(problems, fmt.Sprintf("%s: %s/%s throughput regressed %.0f → %.0f ops/s (>%.0f%% drop; noise band ±%.0f, verdict %s)",
+				current.Experiment, c.Workload, c.Scheme, b.OpsPerSec, c.OpsPerSec, tolerance*100, noise, tp.Verdict))
+		}
 	}
 	for k, b := range baseIdx {
-		if _, ok := curIdx[k]; !ok {
-			out = append(out, TrajectoryPoint{
+		if !curIdx[k] {
+			rows = append(rows, TrajectoryPoint{
 				Workload: k.workload, Scheme: k.scheme,
 				Verdict: TrajMissing, BaseOps: b.OpsPerSec,
 			})
+			problems = append(problems, fmt.Sprintf("%s: point %s/%s present in baseline but missing from current run",
+				baseline.Experiment, k.workload, k.scheme))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Workload != out[j].Workload {
-			return out[i].Workload < out[j].Workload
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Workload != rows[j].Workload {
+			return rows[i].Workload < rows[j].Workload
 		}
-		return out[i].Scheme < out[j].Scheme
+		return rows[i].Scheme < rows[j].Scheme
 	})
-	return out
+	sort.Strings(problems)
+	return rows, problems, warnings
 }
 
 // sortedPoints returns f's points in the stable (workload, scheme)

@@ -91,54 +91,6 @@ func TestAggregateRuns(t *testing.T) {
 	}
 }
 
-// TestV1ReportCompat is the v1→v2 compatibility round-trip: a schema-1
-// file (no ops_stats, no repeats) reads back intact, compares cleanly
-// against a schema-2 run in both directions, and the trajectory diff
-// falls back to the relative floor for its noise band.
-func TestV1ReportCompat(t *testing.T) {
-	v1 := &BenchFile{
-		Experiment: "fig1", Schema: reportSchemaV1, Seed: DefaultBenchSeed,
-		DurationMS: 300, Environment: CurrentEnvironment(),
-		Points: []BenchPoint{
-			{Workload: "w", Scheme: "A", OpsPerSec: 1000, PeakUnreclaimed: 10, Bound: -1},
-		},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_fig1.json")
-	if err := WriteReport(path, v1); err != nil {
-		t.Fatalf("WriteReport: %v", err)
-	}
-	got, err := ReadReport(path)
-	if err != nil {
-		t.Fatalf("ReadReport: %v", err)
-	}
-	if got.Schema != reportSchemaV1 || got.Repeats != 0 || got.Points[0].Ops != nil {
-		t.Fatalf("v1 file gained v2 fields on round-trip: %+v", got)
-	}
-
-	v2, err := AggregateRuns([]*BenchFile{
-		fakeRun(BenchPoint{Workload: "w", Scheme: "A", OpsPerSec: 990, PeakUnreclaimed: 9, Bound: -1}),
-		fakeRun(BenchPoint{Workload: "w", Scheme: "A", OpsPerSec: 1010, PeakUnreclaimed: 11, Bound: -1}),
-	})
-	if err != nil {
-		t.Fatalf("AggregateRuns: %v", err)
-	}
-	if p, w := Compare(got, v2, 0.15); len(p) != 0 || len(w) != 0 {
-		t.Fatalf("v1 baseline vs v2 current: problems %v warnings %v", p, w)
-	}
-	if p, w := Compare(v2, got, 0.15); len(p) != 0 || len(w) != 0 {
-		t.Fatalf("v2 baseline vs v1 current: problems %v warnings %v", p, w)
-	}
-	rows := Trajectory(got, v2, 0.05)
-	if len(rows) != 1 || rows[0].Verdict != TrajUnchanged {
-		t.Fatalf("v1-baseline trajectory: %+v", rows)
-	}
-	// 1000 → 1010 is 1% < the 5% floor: without std on either side the
-	// floor alone must absorb it.
-	if want := 0.05 * 1000.0; math.Abs(rows[0].Noise-want) > 1e-9 {
-		t.Fatalf("v1 noise band %v, want floor %v", rows[0].Noise, want)
-	}
-}
-
 // trajPoint builds a schema-2 point with an explicit std.
 func trajPoint(workload, scheme string, ops, std float64) BenchPoint {
 	return BenchPoint{
@@ -175,7 +127,7 @@ func TestTrajectory(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rows := Trajectory(mk(tc.base), mk(tc.cur), 0.05)
+			rows, _, _ := Trajectory(mk(tc.base), mk(tc.cur), 0.05)
 			if len(rows) != 1 {
 				t.Fatalf("got %d rows, want 1", len(rows))
 			}
@@ -188,7 +140,7 @@ func TestTrajectory(t *testing.T) {
 	t.Run("new and missing points", func(t *testing.T) {
 		base := mk(trajPoint("w", "A", 1000, 10), trajPoint("w", "Old", 500, 5))
 		cur := mk(trajPoint("w", "A", 1001, 10), trajPoint("w", "New", 700, 5))
-		rows := Trajectory(base, cur, 0.05)
+		rows, _, _ := Trajectory(base, cur, 0.05)
 		verdicts := map[string]TrajectoryVerdict{}
 		for _, r := range rows {
 			verdicts[r.Scheme] = r.Verdict
@@ -232,6 +184,10 @@ func TestGridValidation(t *testing.T) {
 		{"zero pool size", `{"schema":1,"experiments":[{"name":"pool","pool_sizes":[0]}]}`, "pool size 0"},
 		{"unknown scheme", `{"schema":1,"experiments":[{"name":"fig1","schemes":["EBR9"]}]}`, `unknown scheme "EBR9"`},
 		{"negative writers", `{"schema":1,"experiments":[{"name":"table2","writers":-2}]}`, "negative threads/writers"},
+		{"zero shard count", `{"schema":1,"experiments":[{"name":"fig1","shards":[0]}]}`, "shard count 0 out of [1,64]"},
+		{"shard count 65", `{"schema":1,"experiments":[{"name":"server","shards":[1,65]}]}`, "shard count 65 out of [1,64]"},
+		{"max shard count", `{"schema":1,"experiments":[{"name":"server","shards":[1,64]}]}`, ""},
+		{"unknown allocator", `{"schema":1,"experiments":[{"name":"fig7","allocs":["slab"]}]}`, `unknown allocator "slab"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,25 +205,34 @@ func TestGridValidation(t *testing.T) {
 	}
 }
 
-// TestExperimentRegistry pins the single-source-of-truth property the
-// stale-message bugfix rests on: the ordered name list and the runner
-// map cover exactly the same experiments, and pool is among them.
+// TestExperimentRegistry pins the single registry: names are unique,
+// every name resolves to a runner, and every registered experiment is
+// declared in the committed experiments.json — so no runner goes
+// ungated by the CI trajectory run.
 func TestExperimentRegistry(t *testing.T) {
-	names := ExperimentNames()
-	if len(names) != len(experimentRunners) {
-		t.Fatalf("order lists %d experiments, registry has %d", len(names), len(experimentRunners))
+	spec, err := LoadGrid(filepath.Join("..", "..", "experiments.json"))
+	if err != nil {
+		t.Fatalf("committed experiments.json: %v", err)
 	}
-	have := make(map[string]bool)
-	for _, n := range names {
+	declared := make(map[string]bool)
+	for _, e := range spec.Experiments {
+		declared[e.Name] = true
+	}
+	seen := make(map[string]bool)
+	for _, n := range ExperimentNames() {
+		if seen[n] {
+			t.Fatalf("experiment %q registered twice", n)
+		}
+		seen[n] = true
 		if _, ok := RunnerFor(n); !ok {
-			t.Fatalf("ordered experiment %q has no runner", n)
+			t.Fatalf("registered experiment %q has no runner", n)
 		}
-		have[n] = true
+		if !declared[n] {
+			t.Errorf("registered experiment %q is not declared in experiments.json, so nothing gates it", n)
+		}
 	}
-	for _, want := range []string{"pool", "server"} {
-		if !have[want] {
-			t.Fatalf("%s experiment missing from the registry", want)
-		}
+	if _, ok := RunnerFor("fig6"); ok {
+		t.Fatal("unregistered name resolved to a runner")
 	}
 }
 
@@ -299,7 +264,7 @@ func TestGridEmitters(t *testing.T) {
 
 // TestRunGridSmoke runs a miniature declarative grid end to end: two
 // repeats of a two-scheme table2 are aggregated into a schema-2 file
-// whose self-comparison and self-trajectory both pass.
+// whose self-trajectory passes the gate with every point unchanged.
 func TestRunGridSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload smoke")
@@ -339,10 +304,11 @@ func TestRunGridSmoke(t *testing.T) {
 			}
 		}
 	}
-	if p, _ := Compare(f, f, 0.15); len(p) != 0 {
-		t.Fatalf("self-comparison failed: %v", p)
+	rows, problems, _ := Trajectory(f, f, 0.15)
+	if len(problems) != 0 {
+		t.Fatalf("self-trajectory failed the gate: %v", problems)
 	}
-	for _, r := range Trajectory(f, f, 0.05) {
+	for _, r := range rows {
 		if r.Verdict != TrajUnchanged {
 			t.Fatalf("self-trajectory moved: %+v", r)
 		}

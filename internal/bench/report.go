@@ -1,11 +1,11 @@
 package bench
 
 // Machine-readable benchmark reports: the BENCH_*.json schema written by
-// `smrbench bench`, and the baseline comparator behind its -baseline flag.
-// The committed BENCH_fig1/fig5/table2 files are the repo's performance
-// trajectory — every hot-path change must show its before/after here (see
-// DESIGN.md §11), and the CI bench-smoke job re-runs the workloads against
-// the committed files so they cannot silently rot.
+// `smrbench grid`. The committed BENCH_*.json files are the repo's
+// performance trajectory — every hot-path change must show its
+// before/after here (see DESIGN.md §13), and the CI bench-smoke job
+// re-runs the grid against the committed files through the trajectory
+// gate (grid.go) so they cannot silently rot.
 
 import (
 	"encoding/json"
@@ -13,22 +13,15 @@ import (
 	"os"
 	"runtime"
 	"sort"
+
+	"github.com/smrgo/hpbrcu/internal/obs"
 )
 
-// ReportSchema versions the BENCH_*.json layout; Compare refuses files
-// from an unknown schema instead of misreading them. Schema 2 added the
-// grid runner's aggregation fields (per-point ops_stats, file-level
-// repeats/warmup); schema-1 files carry none of them and stay readable —
-// Compare and the trajectory diff fall back to single-run semantics for
-// them.
+// ReportSchema versions the BENCH_*.json layout; the trajectory gate
+// refuses files from any other schema instead of misreading them.
+// Schema 2 carries the grid runner's aggregation fields (per-point
+// ops_stats, file-level repeats/warmup).
 const ReportSchema = 2
-
-// reportSchemaV1 is the pre-grid single-run layout, still accepted on
-// read so committed history and external baselines keep working.
-const reportSchemaV1 = 1
-
-// schemaKnown reports whether s is a layout this code can interpret.
-func schemaKnown(s int) bool { return s == reportSchemaV1 || s == ReportSchema }
 
 // DefaultBenchSeed seeds the pipeline workloads unless -seed overrides it.
 // Fixed so that two runs of the same binary draw identical operation
@@ -36,13 +29,17 @@ func schemaKnown(s int) bool { return s == reportSchemaV1 || s == ReportSchema }
 const DefaultBenchSeed = 42
 
 // Environment records where a report was measured. Throughput is only
-// comparable within one environment; the CI comparator widens its
-// tolerance past 1 to skip throughput checks entirely across machines.
+// comparable within one environment; the CI gate widens its tolerance
+// past 1 to skip throughput checks entirely across machines.
 type Environment struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Obs records whether the obs layer was active during the run. Only
+	// HP-BRCU's critical sections are timed by it, so obs-on and obs-off
+	// baselines are not interchangeable for that scheme.
+	Obs bool `json:"obs"`
 }
 
 // CurrentEnvironment captures the running process's environment.
@@ -52,6 +49,7 @@ func CurrentEnvironment() Environment {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Obs:        obs.On,
 	}
 }
 
@@ -74,7 +72,7 @@ type BenchPoint struct {
 	P99CSNanos int64 `json:"p99_cs_ns"`
 	// Bound is the §5 garbage bound 2GN+GN²+H evaluated from observed
 	// peaks, or -1 when the scheme is unbounded or the experiment does
-	// not evaluate it. Compare fails any point with
+	// not evaluate it. The trajectory gate fails any point with
 	// PeakUnreclaimed > Bound ≥ 0 regardless of tolerance.
 	Bound int64 `json:"bound"`
 	// P99Nanos / P999Nanos are end-to-end request-latency tails in
@@ -84,16 +82,13 @@ type BenchPoint struct {
 	// to time.
 	P99Nanos  int64 `json:"p99_ns,omitempty"`
 	P999Nanos int64 `json:"p999_ns,omitempty"`
-	// Ops aggregates throughput across grid repeats (schema ≥ 2, grid
-	// runs only); nil in schema-1 files and single-run reports. When
-	// set, OpsPerSec equals Ops.Mean.
+	// Ops aggregates throughput across grid repeats; nil in single-run
+	// reports. When set, OpsPerSec equals Ops.Mean.
 	Ops *PointStats `json:"ops_stats,omitempty"`
 	// AllocsPerOp and GCCPUFrac are the GC-pressure columns: heap objects
 	// allocated per operation and the fraction of window CPU time spent in
-	// the garbage collector (see gcsample.go). Deliberately not omitempty —
-	// a measured zero (the arena fast path) must stay distinguishable from
-	// a schema-1 file that predates the columns only via the file schema,
-	// and the CI -require-gc gate asserts their presence by key.
+	// the garbage collector (see gcsample.go). Deliberately not omitempty:
+	// the CI -require-gc gate asserts their presence by key.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	GCCPUFrac   float64 `json:"gc_cpu_frac"`
 }
@@ -154,74 +149,4 @@ func ReadReport(path string) (*BenchFile, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &f, nil
-}
-
-// Compare checks current against baseline and returns one problem per
-// violation (empty means the gate passes):
-//
-//   - an unknown schema on either side, or an experiment mismatch;
-//   - a baseline point missing from current (coverage must not shrink);
-//   - current throughput below baseline·(1-tolerance) — skipped entirely
-//     when tolerance ≥ 1, the cross-machine mode CI uses, since absolute
-//     ops/s are meaningless between hosts;
-//   - any current point whose PeakUnreclaimed exceeds its §5 bound —
-//     always checked, at every tolerance: the bound is the paper's
-//     robustness claim, not a performance preference.
-//
-// Schema-1 and schema-2 files mix freely: a v1 baseline gates a v2 grid
-// run and vice versa, so regenerating baselines is never forced by a
-// schema bump alone.
-//
-// warnings carries non-fatal findings: points present in current but
-// absent from baseline. A renamed workload shows up as a missing-point
-// problem AND a new-point warning — without the warning the rename's
-// new half would pass silently and the coverage loss would look like a
-// deleted point rather than a rename.
-func Compare(baseline, current *BenchFile, tolerance float64) (problems, warnings []string) {
-	if !schemaKnown(baseline.Schema) {
-		problems = append(problems, fmt.Sprintf("baseline schema %d, want %d or %d (regenerate the baseline)", baseline.Schema, reportSchemaV1, ReportSchema))
-		return problems, nil
-	}
-	if !schemaKnown(current.Schema) {
-		problems = append(problems, fmt.Sprintf("current schema %d, want %d or %d", current.Schema, reportSchemaV1, ReportSchema))
-		return problems, nil
-	}
-	if baseline.Experiment != current.Experiment {
-		problems = append(problems, fmt.Sprintf("experiment mismatch: baseline %q vs current %q", baseline.Experiment, current.Experiment))
-		return problems, nil
-	}
-
-	type key struct{ workload, scheme string }
-	idx := make(map[key]BenchPoint, len(current.Points))
-	for _, p := range current.Points {
-		idx[key{p.Workload, p.Scheme}] = p
-	}
-	baseIdx := make(map[key]bool, len(baseline.Points))
-	for _, b := range baseline.Points {
-		baseIdx[key{b.Workload, b.Scheme}] = true
-		cur, ok := idx[key{b.Workload, b.Scheme}]
-		if !ok {
-			problems = append(problems, fmt.Sprintf("%s: point %s/%s present in baseline but missing from current run",
-				baseline.Experiment, b.Workload, b.Scheme))
-			continue
-		}
-		if tolerance < 1 && b.OpsPerSec > 0 {
-			floor := b.OpsPerSec * (1 - tolerance)
-			if cur.OpsPerSec < floor {
-				problems = append(problems, fmt.Sprintf("%s: %s/%s throughput regressed %.0f → %.0f ops/s (>%.0f%% drop)",
-					baseline.Experiment, b.Workload, b.Scheme, b.OpsPerSec, cur.OpsPerSec, tolerance*100))
-			}
-		}
-	}
-	for _, p := range current.Points {
-		if !baseIdx[key{p.Workload, p.Scheme}] {
-			warnings = append(warnings, fmt.Sprintf("%s: point %s/%s is new (not in baseline) — a rename, or coverage the baseline predates; regenerate the baseline to adopt it",
-				current.Experiment, p.Workload, p.Scheme))
-		}
-		if p.Bound >= 0 && p.PeakUnreclaimed > p.Bound {
-			problems = append(problems, fmt.Sprintf("%s: %s/%s violates the §5 memory bound: peak %d > bound %d",
-				current.Experiment, p.Workload, p.Scheme, p.PeakUnreclaimed, p.Bound))
-		}
-	}
-	return problems, warnings
 }

@@ -26,8 +26,8 @@ func sampleFile() *BenchFile {
 }
 
 // TestReportRoundTrip checks that the BENCH_*.json schema survives a
-// write/read cycle byte-for-value: what Compare sees later is exactly
-// what the pipeline measured.
+// write/read cycle byte-for-value: what the trajectory gate sees later
+// is exactly what the pipeline measured.
 func TestReportRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_fig1.json")
 	want := sampleFile()
@@ -43,8 +43,9 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompare is the table-driven audit of the regression gate: which
-// crafted deltas it must accept and which it must reject.
+// TestCompare is the table-driven audit of the regression gate: it
+// compares crafted runs against a baseline through Trajectory and pins
+// which deltas the gate must accept and which it must reject.
 func TestCompare(t *testing.T) {
 	mutate := func(f func(*BenchFile)) *BenchFile {
 		c := sampleFile()
@@ -88,17 +89,23 @@ func TestCompare(t *testing.T) {
 		}), 0.15, "", ""},
 		{"unknown schema fails", mutate(func(c *BenchFile) {
 			c.Schema = ReportSchema + 1
-		}), 0.15, "schema", ""},
-		{"schema-1 current accepted", mutate(func(c *BenchFile) {
-			c.Schema = reportSchemaV1
-		}), 0.15, "", ""},
+		}), 0.15, "current schema 3, want 2", ""},
+		{"schema-1 current rejected", mutate(func(c *BenchFile) {
+			c.Schema = 1
+		}), 2, "current schema 1, want 2", ""},
+		{"same-machine floor breach with a wide σ fails", mutate(func(c *BenchFile) {
+			// ±2σ = 800 absorbs the -50% drop as noise ("unchanged"),
+			// but same-machine mode still fails it on the floor.
+			c.Points[0].OpsPerSec = 500
+			c.Points[0].Ops = &PointStats{Mean: 500, Std: 400, Min: 100, Max: 900}
+		}), 0.15, "throughput regressed 1000 → 500 ops/s (>15% drop; noise band ±800, verdict unchanged)", ""},
 		{"experiment mismatch fails", mutate(func(c *BenchFile) {
 			c.Experiment = "fig5"
 		}), 0.15, "experiment mismatch", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			problems, warnings := Compare(sampleFile(), tc.current, tc.tolerance)
+			_, problems, warnings := Trajectory(sampleFile(), tc.current, tc.tolerance)
 			if tc.wantWarn == "" {
 				if len(warnings) != 0 {
 					t.Fatalf("want no warnings, got %v", warnings)
@@ -196,11 +203,23 @@ func TestPipelineSmoke(t *testing.T) {
 	if hpb.Bound < 0 {
 		t.Fatal("HP-BRCU point carries no §5 bound")
 	}
-	problems, warnings := Compare(f, f, 0.15)
+	_, problems, warnings := Trajectory(f, f, 0.15)
 	if len(problems) != 0 || len(warnings) != 0 {
 		t.Fatalf("self-comparison failed: %v (warnings %v)", problems, warnings)
 	}
 	if hpb.PeakUnreclaimed > hpb.Bound {
 		t.Fatalf("fresh run violates its own bound: peak %d > %d", hpb.PeakUnreclaimed, hpb.Bound)
+	}
+}
+
+// TestCompareSchema1Baseline pins the other side of the schema check: a
+// schema-1 baseline (the pre-grid layout) is refused at every
+// tolerance instead of being read with single-run semantics.
+func TestCompareSchema1Baseline(t *testing.T) {
+	base := sampleFile()
+	base.Schema = 1
+	_, problems, _ := Trajectory(base, sampleFile(), 2)
+	if len(problems) != 1 || !strings.Contains(problems[0], "baseline schema 1, want 2") {
+		t.Fatalf("schema-1 baseline: problems %v", problems)
 	}
 }

@@ -25,11 +25,6 @@ type StallResult struct {
 	Retired         int64
 	Bound           int64 // §5 bound for HP-BRCU, -1 when unbounded/N.A.
 	Signals         int64
-	// Reaped and Unreclaimed report the lease reaper's work when LeakRate
-	// made some writers die without unregistering (HP-BRCU with
-	// Config.Reaper.Enabled only; 0 otherwise).
-	Reaped      int64
-	Unreclaimed int64
 	// WriterOps counts completed writer operations (the stall experiment's
 	// throughput axis in BENCH_table2.json).
 	WriterOps int64
@@ -63,15 +58,11 @@ type StallConfig struct {
 	KeyRange int64
 	Duration time.Duration
 	Config   hpbrcu.Config
-	// Seed seeds the writers' key/leak schedules (DefaultBenchSeed when
+	// Seed seeds the writers' key schedules (DefaultBenchSeed when
 	// zero). Before it existed, BenchTable2 stamped its config seed into
 	// the report header while the writers drew from fixed per-worker
 	// seeds — the header claimed a determinism knob the run ignored.
 	Seed uint64
-	// LeakRate is the fraction of writers ([0,1]) that leak: they stop
-	// without Unregister or Barrier, abandoning their handles mid-churn —
-	// the goroutine-death experiment behind `smrbench -leak-rate`.
-	LeakRate float64
 }
 
 // RunStalled runs the experiment: the stalled thread enters the scheme's
@@ -101,9 +92,6 @@ func RunStalled(cfg StallConfig) StallResult {
 		// has seen the true peak handle and shield counts; nil means the
 		// scheme has no bound (reported as -1).
 		boundFn func() int64
-		// reaperStop stops the lease reaper after the leak-convergence
-		// wait; nil when no reaper runs.
-		reaperStop func()
 	)
 
 	switch cfg.Scheme {
@@ -164,12 +152,6 @@ func RunStalled(cfg StallConfig) StallResult {
 	case hpbrcu.HPBRCU:
 		l := hlist.NewHPBRCU(cfg.Config.CoreConfig())
 		register = func() churnHandle { return l.Register() }
-		if cfg.Config.Reaper.Enabled {
-			// Lease gate before any worker registers (plain-bool
-			// activation contract; see core.StartReaper).
-			rp := l.Domain().StartReaper(cfg.Config.CoreReaperConfig())
-			reaperStop = rp.Stop
-		}
 		stall = func() func() {
 			h := l.Domain().Register()
 			h.Pin()
@@ -190,13 +172,6 @@ func RunStalled(cfg StallConfig) StallResult {
 		cfg.Scheme, cfg.Writers, cfg.KeyRange), rec)
 	unstall := stall()
 
-	// The first `leakers` writers die without unregistering — a leak the
-	// reaper (when configured) must recover from.
-	leakers := int(cfg.LeakRate*float64(cfg.Writers) + 0.5)
-	if leakers > cfg.Writers {
-		leakers = cfg.Writers
-	}
-
 	var stop atomic.Bool
 	var writerOps atomic.Int64
 	var wg sync.WaitGroup
@@ -206,10 +181,7 @@ func RunStalled(cfg StallConfig) StallResult {
 			defer wg.Done()
 			labelWorker(HList, cfg.Scheme, "writer")
 			h := register()
-			leak := w < leakers
-			if !leak {
-				defer h.Unregister()
-			}
+			defer h.Unregister()
 			rng := atomicx.NewRand(stallWorkerSeed(cfg.Seed, w))
 			ops := int64(0)
 			defer func() { writerOps.Add(ops) }()
@@ -218,9 +190,6 @@ func RunStalled(cfg StallConfig) StallResult {
 				h.Insert(k, k)
 				h.Remove(k)
 				ops += 2
-				if leak && rng.Intn(1024) == 0 {
-					return // goroutine death: handle abandoned mid-churn
-				}
 			}
 		}(w)
 	}
@@ -233,18 +202,6 @@ func RunStalled(cfg StallConfig) StallResult {
 	gc1 := readGCSample()
 	unstall()
 
-	if reaperStop != nil {
-		if leakers > 0 {
-			// Let the reaper converge on the abandoned handles before
-			// reading the books.
-			deadline := time.Now().Add(5 * time.Second)
-			for rec.ReapedHandles.Load() < int64(leakers) && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		reaperStop()
-	}
-
 	bound := int64(-1)
 	if boundFn != nil {
 		bound = boundFn()
@@ -256,8 +213,6 @@ func RunStalled(cfg StallConfig) StallResult {
 		Retired:         s.Retired,
 		Bound:           bound,
 		Signals:         s.Signals,
-		Reaped:          s.ReapedHandles,
-		Unreclaimed:     s.Unreclaimed,
 		WriterOps:       writerOps.Load(),
 		Seed:            cfg.Seed,
 		CSP99:           s.CSNanos.P99,

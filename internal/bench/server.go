@@ -48,6 +48,11 @@ type ServerResult struct {
 	// Bound is the observed §5 bound (-1 for non-HP-BRCU schemes).
 	Bound int64
 	CSP99 int64
+	// AllocsPerOp and GCCPUFrac are the GC-pressure columns over the
+	// load window (see gcsample.go); ops here are completed requests.
+	// The generator runs in process, so its allocations count too.
+	AllocsPerOp float64
+	GCCPUFrac   float64
 }
 
 // Throughput returns completed requests per second.
@@ -101,6 +106,7 @@ func RunServer(cfg ServerConfig) ServerResult {
 		panic(fmt.Sprintf("bench: server listen: %v", err))
 	}
 
+	gc0 := readGCSample()
 	res, err := loadgen.Run(loadgen.Config{
 		Addr:     addr.String(),
 		Rate:     cfg.Rate,
@@ -112,6 +118,7 @@ func RunServer(cfg ServerConfig) ServerResult {
 		RetryCap:   10 * time.Millisecond,
 		Seed:       int64(cfg.Seed),
 	})
+	gc1 := readGCSample()
 	if err != nil {
 		panic(fmt.Sprintf("bench: loadgen: %v", err))
 	}
@@ -129,6 +136,7 @@ func RunServer(cfg ServerConfig) ServerResult {
 		Bound:           bound,
 		CSP99:           snap.CSNanos.P99,
 	}
+	out.AllocsPerOp, out.GCCPUFrac = gcPressure(gc0, gc1, out.Completed)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -174,6 +182,8 @@ func BenchServer(cfg PipelineConfig) *BenchFile {
 					Bound:           res.Bound,
 					P99Nanos:        res.P99,
 					P999Nanos:       res.P999,
+					AllocsPerOp:     res.AllocsPerOp,
+					GCCPUFrac:       res.GCCPUFrac,
 				})
 			}
 		}
