@@ -17,11 +17,20 @@ import "runtime"
 // they run.
 var YieldPeriod int
 
-// StepYield is called by traversal loops with a per-loop counter.
+// StepYield is called by traversal loops with a per-loop counter. The
+// zero-period check is its whole fast path and stays within the
+// compiler's inlining budget (CI checks `can inline StepYield`); the
+// counting lives in stepYield.
 func StepYield(counter *int) {
-	if YieldPeriod == 0 {
-		return
+	if YieldPeriod != 0 {
+		stepYield(counter)
 	}
+}
+
+// stepYield stays out of line so StepYield's fast path inlines.
+//
+//go:noinline
+func stepYield(counter *int) {
 	*counter++
 	if *counter >= YieldPeriod {
 		*counter = 0

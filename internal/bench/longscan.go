@@ -75,17 +75,20 @@ func RunLongScan(cfg LongScanConfig) LongScanResult {
 		readOps   atomic.Int64
 		writeOps  atomic.Int64
 		wg        sync.WaitGroup
+		ready     sync.WaitGroup
 		startGate = make(chan struct{})
 	)
 
 	for w := 0; w < cfg.Readers; w++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(id uint64) {
 			defer wg.Done()
 			labelWorker(cfg.Structure, cfg.Scheme, "reader")
 			h := m.Register()
 			defer h.Unregister()
 			rng := atomicx.NewRand(cfg.Seed*31 + id)
+			ready.Done()
 			<-startGate
 			ops := int64(0)
 			for !stop.Load() {
@@ -100,11 +103,13 @@ func RunLongScan(cfg LongScanConfig) LongScanResult {
 	// operations stay short while generating maximal retirement pressure.
 	for w := 0; w < cfg.Writers; w++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(id int64) {
 			defer wg.Done()
 			labelWorker(cfg.Structure, cfg.Scheme, "writer")
 			h := m.Register()
 			defer h.Unregister()
+			ready.Done()
 			<-startGate
 			ops := int64(0)
 			k := -(id + 1) // unique negative key per writer
@@ -121,6 +126,9 @@ func RunLongScan(cfg LongScanConfig) LongScanResult {
 		}(int64(w))
 	}
 
+	// Registration stays out of the window, as in RunMixed: the clock
+	// starts once every worker holds its handle.
+	ready.Wait()
 	gc0 := readGCSample()
 	t0 := time.Now()
 	close(startGate)

@@ -256,9 +256,14 @@ func (d *Domain) PublishClock(now int64) { d.clock.Store(now) }
 type Handle struct {
 	// status is the packed {phase, epoch} word — the single most
 	// contended word in the scheme (stored by the owner at every
-	// Enter/Exit, read and CASed by every advancing reclaimer), so it
-	// owns its cache line.
-	status atomicx.Padded
+	// Enter/Exit, loaded at every traversal step, read and CASed by
+	// every advancing reclaimer), so it owns its cache line. Padded
+	// covers the bytes after it; leadPad covers the bytes before it, so
+	// the line stays private even when the allocator's size class does
+	// not align the Handle to a line and a neighbouring handle's owner
+	// writes its tail fields at every Enter.
+	leadPad atomicx.PadAfter
+	status  atomicx.Padded
 
 	// lease is the last observed domain clock (UnixNano). The owner's
 	// stores double as the release edge that publishes its batch
@@ -297,7 +302,7 @@ type Handle struct {
 	scanEpoch  uint64
 	scanForced bool
 
-	// Cooperative cancellation (core.TraverseCtx). The owner arms a fresh
+	// Cooperative cancellation (core.Walk.BeginCtx). The owner arms a fresh
 	// token per cancellable operation; a watcher goroutine requests
 	// cancellation by presenting the token it saw armed. Tokens make a
 	// late watcher from a finished operation harmless: its RequestCancel
@@ -309,7 +314,7 @@ type Handle struct {
 
 	// gen counts resurrections (owner-goroutine-only): a reaped handle
 	// whose owner turns out to be alive re-registers and bumps gen, so
-	// the Traverse engine knows its checkpointed protections were cleared
+	// the traversal walk knows its checkpointed protections were cleared
 	// by the reaper and restarts from scratch.
 	gen uint64
 	// onResurrect re-registers composed per-scheme state (the HP half,
@@ -317,11 +322,17 @@ type Handle struct {
 	onResurrect func()
 
 	// Observability state, touched only past the obs.On gate. trace is
-	// nil-safe; pollN samples the epoch-lag histogram; csStart times the
-	// running critical-section attempt. All owner-goroutine-only.
+	// nil-safe; pollN samples the epoch-lag histogram; csN samples and
+	// csStart times the running critical-section attempt (0 when it is
+	// not sampled). All owner-goroutine-only.
 	trace   *obs.Trace
 	pollN   uint
+	csN     uint
 	csStart int64
+
+	// instr is Enter's snapshot of fault.On || obs.On || leaseOn: the
+	// one flag Poll's inlined fast path tests. Owner-goroutine-only.
+	instr bool
 }
 
 // Register adds a thread to the domain with the default executor (free the
@@ -408,8 +419,8 @@ func (h *Handle) Describe() string {
 }
 
 // Gen returns the handle's resurrection generation. It changes only
-// inside Enter (via ensureLive), on the owner goroutine; the Traverse
-// engine compares it across Enters to detect a reap-and-resurrect, whose
+// inside Enter (via ensureLive), on the owner goroutine; the traversal
+// walk compares it across Enters to detect a reap-and-resurrect, whose
 // shield clearing invalidates checkpointed cursors.
 func (h *Handle) Gen() uint64 { return h.gen }
 
@@ -515,7 +526,7 @@ func (h *Handle) EndMut() {
 // resurrect re-registers a reaped handle whose owner turned out to be
 // alive. The reaper already adopted the old batch and retired list and
 // cleared the shields, so the handle restarts empty; bumping gen tells the
-// Traverse engine to discard checkpoints the pre-reap shields protected.
+// traversal walk to discard checkpoints the pre-reap shields protected.
 func (h *Handle) resurrect() {
 	h.batch = nil
 	h.pushCnt = 0
@@ -662,9 +673,19 @@ func (h *Handle) Unregister() {
 // Enter begins (or re-begins, after a rollback) a critical section: it
 // announces InCs with the current global epoch (Algorithm 5 line 16). Any
 // pending RbReq from a previous section is superseded.
+//
+// With observability on, one critical-section attempt in csSample is
+// timed for CSNanos (the first, then every csSample-th): timing every
+// section cost two clock reads per operation that only HP-BRCU paid, so
+// turning obs on changed which scheme won. A rollback re-Enter of a
+// sampled attempt drops the sample rather than stretching it.
 func (h *Handle) Enter() {
+	h.instr = fault.On || obs.On || h.d.leaseOn
 	if obs.On {
-		h.csStart = obs.Nanos()
+		h.csStart = 0
+		if h.csN++; h.csN%csSample == 1 {
+			h.csStart = obs.Nanos()
+		}
 	}
 	if h.d.leaseOn {
 		h.enterLeased()
@@ -673,12 +694,50 @@ func (h *Handle) Enter() {
 	h.status.Store(pack(phaseInCs, h.d.epoch.Load()))
 }
 
+// csSample and pollSample are the obs sampling periods for critical
+// section timing and epoch-lag polling; see Enter and pollSlow.
+const (
+	csSample   = 64
+	pollSample = 64
+)
+
 // Poll is the cooperative stand-in for signal delivery: it reports false
 // when a neutralization request is pending, in which case the caller must
 // roll back — discard everything derived since the last complete
-// checkpoint and either Exit or Enter again. Poll is the only operation on
-// the hot traversal path: a single atomic load.
+// checkpoint and either Exit or Enter again.
+//
+// Poll runs at every traversal step, so its fast path — one load of the
+// status word behind one instrumentation flag — stays within the
+// compiler's inlining budget (CI checks `can inline (*Handle).Poll`).
+// The flag is Enter's snapshot of the fault, obs and lease gates, which
+// all follow the activation contract (they change only while no
+// goroutine is inside a critical section), so the snapshot is exact for
+// the whole section. Fault injection, lease stamping and obs sampling
+// live in pollSlow. The status load is a plain atomic load: a
+// neutralizer's CAS that lands after it is observed at the next poll,
+// which is all the cooperative protocol requires.
 func (h *Handle) Poll() bool {
+	if h.instr {
+		return h.pollSlow()
+	}
+	// Live's expression, spelled out: the extra inlined call would put
+	// Poll at the edge of the budget.
+	return h.status.Load()&(1<<phaseBits-1) < phaseRbReq
+}
+
+// Instrumented reports Enter's snapshot of the fault, obs and lease
+// gates. While it is false, Poll is exactly Live; the core traversal
+// walk folds it into its own per-step gate so a step tests one flag.
+func (h *Handle) Instrumented() bool { return h.instr }
+
+// Live is Poll without the instrumentation: it reports whether no
+// rollback is pending on the current section. Callers must take Poll
+// whenever Instrumented is true.
+func (h *Handle) Live() bool { return h.status.Load()&(1<<phaseBits-1) < phaseRbReq }
+
+// pollSlow is Poll with an instrumentation gate open: the fault site,
+// the per-poll lease stamp, and the sampled epoch-lag histogram.
+func (h *Handle) pollSlow() bool {
 	if fault.On {
 		fault.Fire(fault.SitePoll)
 	}
@@ -689,7 +748,7 @@ func (h *Handle) Poll() bool {
 	if obs.On {
 		// Sample the epoch lag every 64th poll: frequent enough to see
 		// a lagging traversal, cheap enough to leave the hot path alone.
-		if h.pollN++; h.pollN&63 == 0 && ph != phaseOut {
+		if h.pollN++; h.pollN%pollSample == 0 && ph != phaseOut {
 			h.d.rec.PollLag.Record(int64(h.d.epoch.Load()) - int64(e))
 		}
 	}
@@ -844,7 +903,7 @@ func (h *Handle) Mask(body func()) (ran, mustRollback bool) {
 
 // runMasked runs the masked body behind a recover barrier. A panic that
 // escapes it (user code, or SitePanic standing in for one) unwinds the
-// region before continuing to the outer barrier in core.Traverse: restore
+// region before continuing to the walk's outer barrier (core.Walk): restore
 // InRm→InCs so the abort path sees the section in its normal state — a
 // lost CAS means a neutralization landed mid-region and the standing
 // RbReq is already what the abort path expects.
@@ -893,7 +952,7 @@ func (h *Handle) ForceOut() {
 	}
 }
 
-// --- Cooperative cancellation (core.TraverseCtx) -----------------------
+// --- Cooperative cancellation (core.Walk.BeginCtx) ---------------------
 
 // ArmCancel installs a fresh cancellation token for the operation about
 // to run and returns it. Owner-side; pair with DisarmCancel.

@@ -4,8 +4,10 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/smrgo/hpbrcu/internal/alloc"
+	"github.com/smrgo/hpbrcu/internal/atomicx"
 )
 
 type node struct{ key int64 }
@@ -367,5 +369,21 @@ func TestDeferConcurrent(t *testing.T) {
 	}
 	if s.Unreclaimed != 0 {
 		t.Fatalf("unreclaimed = %d after final barrier, want 0 (reclaimed=%d)", s.Unreclaimed, s.Reclaimed)
+	}
+}
+
+// TestStatusLinePrivate pins the status word's cache-line isolation: the
+// 56 bytes before and after it belong to the handle's own padding, so no
+// field of this or a neighbouring handle can share its line whatever the
+// allocator's alignment. Per-step polls load the word; a neighbour's
+// stores to a shared line would make every one of them miss.
+func TestStatusLinePrivate(t *testing.T) {
+	var h Handle
+	line := uintptr(atomicx.CacheLineSize)
+	if off := unsafe.Offsetof(h.status); off < line-8 {
+		t.Fatalf("status at offset %d: the bytes before it are not padding", off)
+	}
+	if unsafe.Sizeof(h.status) < line {
+		t.Fatalf("status spans %d bytes, want a full line", unsafe.Sizeof(h.status))
 	}
 }

@@ -70,8 +70,9 @@ var Schedules = []Schedule{
 		fault.SiteMaskExit:   {Period: 32, StallYields: 4},
 	})},
 	{Name: "rollback-storm", Plans: plans(map[fault.Site]Plan{
-		fault.SiteStepRollback: {Period: 96, Cooldown: 64},
-		fault.SitePoll:         {Period: 128, StallYields: 2},
+		fault.SiteStepRollback:       {Period: 96, Cooldown: 64},
+		fault.SiteCheckpointRollback: {Period: 8, Cooldown: 2},
+		fault.SitePoll:               {Period: 128, StallYields: 2},
 	})},
 	{Name: "mask-abort", Plans: plans(map[fault.Site]Plan{
 		fault.SiteMaskAbort: {Period: 4, Cooldown: 4},
@@ -86,17 +87,18 @@ var Schedules = []Schedule{
 		fault.SiteAllocExhaust: {Period: 4},
 	})},
 	{Name: "everything", Plans: plans(map[fault.Site]Plan{
-		fault.SitePoll:         {Period: 128, StallYields: 4},
-		fault.SiteShield:       {Period: 128, StallYields: 4},
-		fault.SiteMaskEnter:    {Period: 64, StallYields: 2},
-		fault.SiteMaskExit:     {Period: 64, StallYields: 2},
-		fault.SiteMaskAbort:    {Period: 8, Cooldown: 8},
-		fault.SiteStepRollback: {Period: 192, Cooldown: 64},
-		fault.SiteAdvanceStorm: {Period: 4},
-		fault.SiteDrainSkip:    {Period: 4, Cooldown: 1},
-		fault.SiteAllocStall:   {Period: 128, StallYields: 4},
-		fault.SiteAllocExhaust: {Period: 8},
-		fault.SiteFreeStall:    {Period: 128, StallYields: 4},
+		fault.SitePoll:               {Period: 128, StallYields: 4},
+		fault.SiteShield:             {Period: 128, StallYields: 4},
+		fault.SiteMaskEnter:          {Period: 64, StallYields: 2},
+		fault.SiteMaskExit:           {Period: 64, StallYields: 2},
+		fault.SiteMaskAbort:          {Period: 8, Cooldown: 8},
+		fault.SiteStepRollback:       {Period: 192, Cooldown: 64},
+		fault.SiteCheckpointRollback: {Period: 16, Cooldown: 2},
+		fault.SiteAdvanceStorm:       {Period: 4},
+		fault.SiteDrainSkip:          {Period: 4, Cooldown: 1},
+		fault.SiteAllocStall:         {Period: 128, StallYields: 4},
+		fault.SiteAllocExhaust:       {Period: 8},
+		fault.SiteFreeStall:          {Period: 128, StallYields: 4},
 	})},
 }
 
@@ -528,7 +530,11 @@ func runWorker(m hpbrcu.Map, sc Scenario, w int, viol *violations, leaks *atomic
 	}
 
 	for i := 0; i < sc.Ops; i++ {
-		if fault.On && fault.Fire(fault.SiteLeak) {
+		// Not before the first operation: a handle that never operated
+		// holds nothing to adopt, and the reaper parks such handles
+		// instead of reaping them, so that leak could never count as
+		// reaped in Run's convergence check.
+		if i > 0 && fault.On && fault.Fire(fault.SiteLeak) {
 			// Goroutine death: abandon the registered handle mid-stream —
 			// no Unregister, no Barrier. The reaper (when on) must find
 			// and adopt it; without one this is a real leak.

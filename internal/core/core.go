@@ -10,8 +10,9 @@
 //   - Two-step retirement (Algorithm 4): Retire(p) defers the inner
 //     HP-Retire(p) through the RCU, so a pointer acquired inside a critical
 //     section is safe to dereference and to protect without validation.
-//   - The Traverse engine (Algorithm 7): an expedited traversal that
-//     follows most links under coarse-grained RCU protection, periodically
+//   - The Traverse engine (Algorithm 7), as the Walk primitives each data
+//     structure's own loop calls: an expedited traversal that follows
+//     most links under coarse-grained RCU protection, periodically
 //     checkpointing the cursor into HP shields. HP-RCU alternates explicit
 //     bounded RCU phases (Algorithm 3); HP-BRCU stays in one critical
 //     section and relies on neutralization, using double-buffered

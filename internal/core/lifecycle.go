@@ -63,17 +63,9 @@ func (e *PanicError) Error() string {
 }
 
 // ProtectionClearer is implemented by protectors whose shields can be
-// released wholesale. The recover barrier uses it to drop the
-// protections a panicked traversal left behind; protectors that do not
-// implement it keep their (safe, merely conservative) protections until
-// the next operation overwrites them.
+// released wholesale. A walk's recover barrier (Walk.Recover) uses it to
+// drop the protections a panicked traversal left behind.
 type ProtectionClearer interface{ ClearProtection() }
-
-func clearProtection[C any](p Protector[C]) {
-	if c, ok := Protector[C](p).(ProtectionClearer); ok {
-		c.ClearProtection()
-	}
-}
 
 // checkUsable refuses operations on a handle a previous panic left
 // unrestorable, per the panic policy: a *PanicError panic under

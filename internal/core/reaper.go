@@ -158,6 +158,14 @@ func (t *reapTarget) Remove(vs []reap.Victim) {
 	t.d.HP.RemoveAll(hpHalves(hs))
 }
 
+// Tidy rescans the reaper's own retired list while it holds nodes an
+// earlier drain found protected; see reap.Target.
+func (t *reapTarget) Tidy() {
+	if t.h.HP.PendingRetired() > 0 {
+		t.h.HP.Reclaim()
+	}
+}
+
 func (t *reapTarget) PostReap() {
 	// Drain what the adoption moved into the global paths: force epoch
 	// advances so the adopted defer batch expires, then scan shields so

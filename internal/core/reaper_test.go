@@ -72,6 +72,46 @@ func TestReaperRecoversLeakedHandle(t *testing.T) {
 	}
 }
 
+// TestReaperFreesLateUnprotected: the reaper's drain moves a dead
+// handle's garbage onto its own handle, where a node another thread still
+// protects has to wait. When that protection clears after every reap is
+// over, the reaper must still free the node — nobody else will ever scan
+// its handle's retired list again.
+func TestReaperFreesLateUnprotected(t *testing.T) {
+	pool := alloc.NewPool[node]()
+	cache := pool.NewCache()
+	d := NewDomain(BackendBRCU, Config{MaxLocalTasks: 1024, ScanThreshold: 1024, ForceThreshold: 2})
+	rp := fastReaper(d)
+	defer rp.Stop()
+
+	// A live (exempt, so never reaped) thread protects the node the dead
+	// one retires.
+	live := d.RegisterService()
+	defer live.Unregister()
+	s := live.NewShield()
+	leaked := d.Register()
+	slot, _ := pool.Alloc(cache)
+	s.ProtectSlot(slot)
+	pool.Hdr(slot).Retire()
+	leaked.Retire(slot, pool)
+
+	rec := d.Stats()
+	waitFor(t, "the leaked handle to be reaped", func() bool {
+		return rec.ReapedHandles.Load() >= 1
+	})
+	// Many ticks pass with the node protected: the post-reap drain moves
+	// it onto the reaper's handle, and the cleanup rounds that follow see
+	// no progress and stop.
+	time.Sleep(50 * time.Millisecond)
+	if got := rec.Unreclaimed.Load(); got != 1 {
+		t.Fatalf("unreclaimed = %d while protected, want 1", got)
+	}
+	s.Clear()
+	waitFor(t, "the node to be freed once unprotected", func() bool {
+		return rec.Unreclaimed.Load() == 0
+	})
+}
+
 // TestReaperResurrection: the owner was slow, not dead. After the reap it
 // wakes, resurrects transparently on its next Pin, and keeps working; the
 // final books still balance.

@@ -1,11 +1,12 @@
 package core
 
 // This file implements the explicit phase API of Algorithm 3 — the form
-// in which §3 first presents RCU-expedited traversal, before §4.3 wraps it
-// into Traverse. Data structures that want manual control over phase
-// boundaries (e.g. to fuse several logical steps into one critical
-// section, or to interleave unrelated work between phases) use Phases
-// directly; everything else should prefer Traverse.
+// in which §3 first presents RCU-expedited traversal, before §4.3 wraps
+// it into Traverse (here the Walk primitives). Data structures that want
+// manual control over phase boundaries (e.g. to fuse several logical
+// steps into one critical section, or to interleave unrelated work
+// between phases) use Phases directly; everything else should prefer a
+// Walk loop.
 //
 // A Phases traversal looks like:
 //

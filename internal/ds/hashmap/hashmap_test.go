@@ -162,3 +162,18 @@ func TestReclamationAcrossBuckets(t *testing.T) {
 		t.Fatalf("unreclaimed=%d retired=%d", s.Unreclaimed, s.Retired)
 	}
 }
+
+// TestHPBRCUGetZeroAllocs pins the allocation-free HP-BRCU bucket get:
+// rebinding the handle to a bucket and walking it allocate nothing.
+func TestHPBRCUGetZeroAllocs(t *testing.T) {
+	m := NewHPBRCU(64, core.Config{})
+	h := m.Register()
+	defer h.Unregister()
+	for k := int64(0); k < 4096; k += 2 {
+		h.Insert(k, k)
+	}
+	k := int64(0)
+	if a := testing.AllocsPerRun(1000, func() { h.Get(k % 4096); k += 7 }); a != 0 {
+		t.Fatalf("Get: %v allocs/op, want 0", a)
+	}
+}

@@ -11,9 +11,11 @@ package hlist
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/smrgo/hpbrcu/internal/core"
+	"github.com/smrgo/hpbrcu/internal/fault"
 )
 
 func cancelTestConfig() core.Config {
@@ -46,43 +48,60 @@ func TestTraverseCtxCancelMidTraversalRollsBack(t *testing.T) {
 	l := NewHPBRCU(cancelTestConfig())
 	h := l.Register()
 
-	const n = 200
-	for k := int64(0); k < n; k++ {
+	const n = 4000
+	for k := int64(n - 1); k >= 0; k-- { // descending: each insert is at the head
 		if !h.Insert(k, k*31+7) {
 			t.Fatalf("Insert(%d) failed", k)
 		}
 	}
 
-	// Instrument the optimistic read traversal: walk ~50 nodes in, then
-	// cancel and hold position (keep returning StepContinue without
-	// advancing) until the self-neutralization lands at a checkpoint and
-	// aborts the traversal. The hold guarantees the cancel arrives
-	// mid-traversal, not between operations.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	trav := h.getTraversal(n - 1)
-	origStep := trav.Step
-	steps := 0
-	trav.Step = func(c *getCursor) (core.StepKind, bool) {
-		steps++
-		if steps == 50 {
-			cancel()
-		}
-		if steps >= 50 {
-			return core.StepContinue, false
-		}
-		return origStep(c)
-	}
+	// Drive the optimistic read walk with fault injection: every poll
+	// yields (a stall that lets the helper below run), and once the walk
+	// is 50 polls in, every step and checkpoint self-neutralizes, so the
+	// walk holds position — rolling back to its last checkpoint over and
+	// over — until the cancel lands. The hold guarantees the cancel
+	// arrives mid-traversal, not between operations. A helper descheduled
+	// for the whole walk lets it finish first; that attempt is retried.
+	var err error
+	polls := uint64(0)
+	for attempt := 0; attempt < 3; attempt++ {
+		var plans [fault.NumSites]fault.Plan
+		plans[fault.SitePoll] = fault.Plan{Period: 1, StallYields: 2}
+		plans[fault.SiteStepRollback] = fault.Plan{Period: 1}
+		inj := fault.New(fault.Config{Seed: 1, Plans: plans})
+		inj.SetSiteEnabled(fault.SiteStepRollback, false)
+		fault.Activate(inj)
 
-	_, _, ok, err := core.TraverseCtx(ctx, h.h, &h.getBuf, h.getProt, h.getBackup, trav)
-	if ok {
-		t.Fatal("cancelled traversal reported ok")
+		ctx, cancel := context.WithCancel(context.Background())
+		ready := make(chan struct{})
+		helped := make(chan uint64)
+		go func() {
+			close(ready)
+			for inj.Arrivals(fault.SitePoll) < 50 {
+				runtime.Gosched()
+			}
+			inj.SetSiteEnabled(fault.SiteStepRollback, true)
+			p := inj.Arrivals(fault.SitePoll)
+			cancel()
+			helped <- p
+		}()
+		<-ready
+		_, _, err = h.GetCtx(ctx, n-1)
+		polls = <-helped
+		fault.Deactivate()
+		cancel()
+		if err != nil {
+			break
+		}
 	}
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("TraverseCtx err = %v, want context.Canceled", err)
+		t.Fatalf("GetCtx err = %v, want context.Canceled", err)
 	}
-	if steps < 50 {
-		t.Fatalf("traversal aborted after %d steps, before the cancel point", steps)
+	if polls < 50 || polls >= n {
+		t.Fatalf("cancel issued after %d polls, want a mid-traversal cancel", polls)
+	}
+	if l.Stats().Snapshot().Rollbacks == 0 {
+		t.Fatal("the cancelled walk did not roll back")
 	}
 
 	// The rollback must have returned the handle to quiescent with its

@@ -60,13 +60,15 @@ type cursor struct {
 	cur  atomicx.Ref
 }
 
+// protector checkpoints a search cursor into two shields. A handle owns
+// two (the §4.3 double buffer); index 1 holds a finished search's result.
 type protector struct{ prevS, curS *hp.Shield }
 
-func newProtector(h *core.Handle) *protector {
-	return &protector{prevS: h.NewShield(), curS: h.NewShield()}
+func newProtector(h *core.Handle) protector {
+	return protector{prevS: h.NewShield(), curS: h.NewShield()}
 }
 
-func (p *protector) Protect(c *cursor) {
+func (p *protector) protect(c *cursor) {
 	p.prevS.ProtectSlot(c.prev)
 	p.curS.Protect(c.cur)
 }
@@ -83,7 +85,7 @@ type getCursor struct{ cur atomicx.Ref }
 
 type getProtector struct{ curS *hp.Shield }
 
-func (p *getProtector) Protect(c *getCursor) { p.curS.Protect(c.cur) }
+func (p *getProtector) protect(c *getCursor) { p.curS.Protect(c.cur) }
 
 // ClearProtection releases the shield (core.ProtectionClearer).
 func (p *getProtector) ClearProtection() { p.curS.Clear() }
@@ -94,17 +96,12 @@ type ExpeditedHandle struct {
 	h     *core.Handle
 	cache *alloc.Cache[lnode.Node]
 
-	prot, backup       *protector
-	getProt, getBackup *getProtector
-	maskPrevS          *hp.Shield
-	maskRunS           *hp.Shield
-	maskEndS           *hp.Shield
-	run                runBuf
-
-	// Handle-owned cursor storage for the Traverse engine, one buffer per
-	// cursor type, so traversals never heap-allocate their cursors.
-	searchBuf core.CursorBuf[cursor]
-	getBuf    core.CursorBuf[getCursor]
+	prots     [2]protector
+	getProts  [2]getProtector
+	maskPrevS *hp.Shield
+	maskRunS  *hp.Shield
+	maskEndS  *hp.Shield
+	run       runBuf
 }
 
 // Register creates a thread handle.
@@ -112,10 +109,8 @@ func (l *Expedited) Register() *ExpeditedHandle {
 	h := l.dom.Register()
 	return &ExpeditedHandle{
 		l: l, h: h, cache: l.List.Pool.NewCache(),
-		prot:      newProtector(h),
-		backup:    newProtector(h),
-		getProt:   &getProtector{curS: h.NewShield()},
-		getBackup: &getProtector{curS: h.NewShield()},
+		prots:     [2]protector{newProtector(h), newProtector(h)},
+		getProts:  [2]getProtector{{curS: h.NewShield()}, {curS: h.NewShield()}},
 		maskPrevS: h.NewShield(),
 		maskRunS:  h.NewShield(),
 		maskEndS:  h.NewShield(),
@@ -133,61 +128,105 @@ func (h *ExpeditedHandle) Core() *core.Handle { return h.h }
 // Barrier drains reclamation (teardown/tests).
 func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 
-// search runs the expedited Harris search. Marked runs are excised inside
-// an abort-masked region; the excision operands — predecessor, run head,
-// and excision target — are protected by outliving shields beforehand so
-// the masked CAS can never act on recycled slots (the ABA guard the paper
-// notes in footnote 6).
+// valid reports whether a checkpointed search cursor can be resumed
+// from: its current node (or, at the tail, its predecessor) is not
+// logically deleted (§3.3).
+func valid(l *lnode.List, c *cursor) bool {
+	if c.cur.IsNil() {
+		return l.Pool.At(c.prev).Next.Load().Tag() == 0
+	}
+	return l.At(c.cur).Next.Load().Tag() == 0
+}
+
+// search runs the expedited Harris search on the walk primitives and
+// returns the cursor at key, protected by prots[1]. Marked runs are
+// excised inside an abort-masked region; the excision operands —
+// predecessor, run head, and excision target — are protected by
+// outliving shields beforehand so the masked CAS can never act on
+// recycled slots (the ABA guard the paper notes in footnote 6). ok is
+// false when the operation must be retried (failed revalidation or
+// helping CAS).
 func (h *ExpeditedHandle) search(key int64) (cursor, bool, bool) {
 	l := h.l.List
-	t := core.Traversal[cursor, bool]{
-		Init: func() cursor {
-			return cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
-		},
-		Validate: func(c *cursor) bool {
-			if c.cur.IsNil() {
-				return l.Pool.At(c.prev).Next.Load().Tag() == 0
+	var (
+		w    core.Walk
+		c    cursor
+		ckpt [2]cursor
+	)
+	w.Begin(h.h)
+	defer w.Recover("search", &h.prots[0], &h.prots[1])
+	for w.Enter() {
+		if w.Fresh() {
+			c = cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
+			i := w.Next()
+			h.prots[i].protect(&c)
+			ckpt[i] = c
+			if !w.Start() {
+				continue
 			}
-			return l.At(c.cur).Next.Load().Tag() == 0
-		},
-		Step: func(c *cursor) (core.StepKind, bool) {
-			if c.cur.IsNil() {
-				return core.StepFinish, false
-			}
-			next := l.At(c.cur).Next.Load()
-			if next.Tag() != 0 {
-				// Excise the marked run [cur, end). The run is captured
-				// into a buffer before the masked writes so retirement
-				// never re-reads a link after a retire.
-				end := runEnd(l, c.cur, &h.run)
-				h.maskPrevS.ProtectSlot(c.prev)
-				h.maskRunS.Protect(c.cur)
-				h.maskEndS.Protect(end)
-				succ := false
-				ran, mustRollback := h.h.Mask(func() {
-					if l.Pool.At(c.prev).Next.CompareAndSwap(c.cur, end) {
-						retireRun(l, &h.run, func(slot uint64) { h.h.Retire(slot, l.Pool) })
-						succ = true
+		} else if c = ckpt[w.Idx()]; !valid(l, &c) {
+			w.Fail()
+			return c, false, false
+		}
+		for w.Tick() {
+			done, hit := c.cur.IsNil(), false
+			if !done {
+				next := l.At(c.cur).Next.Load()
+				if next.Tag() != 0 {
+					// Excise the marked run [cur, end). The run is
+					// captured into a buffer before the masked writes
+					// so retirement never re-reads a link after a
+					// retire.
+					end := runEnd(l, c.cur, &h.run)
+					h.maskPrevS.ProtectSlot(c.prev)
+					h.maskRunS.Protect(c.cur)
+					h.maskEndS.Protect(end)
+					prev, cur := c.prev, c.cur
+					succ := false
+					ran, mustRollback := h.h.Mask(func() {
+						if l.Pool.At(prev).Next.CompareAndSwap(cur, end) {
+							retireRun(l, &h.run, func(slot uint64) { h.h.Retire(slot, l.Pool) })
+							succ = true
+						}
+					})
+					if mustRollback {
+						break
 					}
-				})
-				if mustRollback {
-					return core.StepAbort, false
+					if !ran || !succ {
+						w.Fail()
+						return c, false, false
+					}
+					c.cur = end
+				} else if k := l.At(c.cur).Key.Load(); k < key {
+					c.prev = c.cur.Slot()
+					c.cur = next
+				} else {
+					done, hit = true, k == key
 				}
-				if !ran || !succ {
-					return core.StepFail, false
+			}
+			if done {
+				i := w.Next()
+				h.prots[i].protect(&c)
+				ok, move := w.Finish()
+				if !ok {
+					break
 				}
-				c.cur = end
-				return core.StepContinue, false
+				if move {
+					h.prots[1].protect(&c)
+				}
+				return c, hit, true
 			}
-			if k := l.At(c.cur).Key.Load(); k >= key {
-				return core.StepFinish, k == key
+			if w.Due() && valid(l, &c) {
+				i := w.Next()
+				h.prots[i].protect(&c)
+				ckpt[i] = c
+				if !w.Commit() {
+					break
+				}
 			}
-			c.prev = c.cur.Slot()
-			c.cur = next
-			return core.StepContinue, false
-		},
+		}
 	}
-	return core.Traverse(h.h, &h.searchBuf, h.prot, h.backup, t)
+	return c, false, false // unreachable: a search is never cancellable
 }
 
 // Get returns the value mapped to key (full Harris search, helps excise).
@@ -207,52 +246,84 @@ func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
 	}
 }
 
-// getTraversal builds the optimistic read traversal GetOptimistic and
-// GetCtx run (and the cancellation regression test instruments).
-func (h *ExpeditedHandle) getTraversal(key int64) core.Traversal[getCursor, bool] {
+// getValid is valid for the optimistic read cursor.
+func getValid(l *lnode.List, c *getCursor) bool {
+	return c.cur.IsNil() || l.At(c.cur).Next.Load().Tag() == 0
+}
+
+// walkGet is one optimistic read traversal on the walk primitives: a
+// pure read through marked nodes, so a step never writes. A nil ctx
+// makes it uncancellable; otherwise err reports cancellation. ok is
+// false when a resumed checkpoint failed revalidation.
+func (h *ExpeditedHandle) walkGet(ctx context.Context, key int64) (getCursor, bool, bool, error) {
 	l := h.l.List
-	return core.Traversal[getCursor, bool]{
-		Init: func() getCursor {
-			return getCursor{cur: l.Pool.At(l.Head).Next.Load().Untagged()}
-		},
-		Validate: func(c *getCursor) bool {
-			return c.cur.IsNil() || l.At(c.cur).Next.Load().Tag() == 0
-		},
-		Step: func(c *getCursor) (core.StepKind, bool) {
-			if c.cur.IsNil() {
-				return core.StepFinish, false
-			}
-			n := l.At(c.cur)
-			if n.Key.Load() >= key {
-				found := n.Key.Load() == key && n.Next.Load().Tag() == 0
-				return core.StepFinish, found
-			}
-			c.cur = n.Next.Load().Untagged()
-			return core.StepContinue, false
-		},
+	var (
+		w    core.Walk
+		c    getCursor
+		ckpt [2]getCursor
+	)
+	if ctx == nil {
+		w.Begin(h.h)
+	} else if err := w.BeginCtx(ctx, h.h); err != nil {
+		return c, false, false, err
 	}
+	defer w.Recover("GetOptimistic", &h.getProts[0], &h.getProts[1])
+	defer w.End()
+	for w.Enter() {
+		if w.Fresh() {
+			c = getCursor{cur: l.Pool.At(l.Head).Next.Load().Untagged()}
+			i := w.Next()
+			h.getProts[i].protect(&c)
+			ckpt[i] = c
+			if !w.Start() {
+				continue
+			}
+		} else if c = ckpt[w.Idx()]; !getValid(l, &c) {
+			w.Fail()
+			return c, false, false, nil
+		}
+		for w.Tick() {
+			done, hit := c.cur.IsNil(), false
+			if !done {
+				n := l.At(c.cur)
+				if k := n.Key.Load(); k < key {
+					c.cur = n.Next.Load().Untagged()
+				} else {
+					done, hit = true, k == key && n.Next.Load().Tag() == 0
+				}
+			}
+			if done {
+				i := w.Next()
+				h.getProts[i].protect(&c)
+				ok, move := w.Finish()
+				if !ok {
+					break
+				}
+				if move {
+					h.getProts[1].protect(&c)
+				}
+				return c, hit, true, nil
+			}
+			if w.Due() && getValid(l, &c) {
+				i := w.Next()
+				h.getProts[i].protect(&c)
+				ckpt[i] = c
+				if !w.Commit() {
+					break
+				}
+			}
+		}
+	}
+	return c, false, false, w.Err()
 }
 
 // GetOptimistic is the HHSList wait-free-style contains lifted onto the
-// Traverse engine: a pure read traversal through marked nodes. Under
+// walk primitives: a pure read traversal through marked nodes. Under
 // HP-BRCU it is only lock-free (rollbacks may retry it), matching the
 // paper's footnote 9.
 func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
-	l := h.l.List
-	t := h.getTraversal(key)
-	for attempt := 0; ; attempt++ {
-		c, found, ok := core.Traverse(h.h, &h.getBuf, h.getProt, h.getBackup, t)
-		if !ok {
-			if attempt > 0 {
-				runtime.Gosched()
-			}
-			continue // checkpointed on a node that got marked; rare
-		}
-		if !found {
-			return 0, false
-		}
-		return l.At(c.cur).Val.Load(), true
-	}
+	v, found, _ := h.get(nil, key)
+	return v, found
 }
 
 // GetCtx is GetOptimistic with cooperative cancellation: ctx.Done()
@@ -260,10 +331,13 @@ func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 // returns the context's error. Validation failures still retry — only
 // cancellation breaks the loop.
 func (h *ExpeditedHandle) GetCtx(ctx context.Context, key int64) (int64, bool, error) {
-	l := h.l.List
-	t := h.getTraversal(key)
+	return h.get(ctx, key)
+}
+
+// get retries walkGet until it completes or (non-nil ctx) is cancelled.
+func (h *ExpeditedHandle) get(ctx context.Context, key int64) (int64, bool, error) {
 	for attempt := 0; ; attempt++ {
-		c, found, ok, err := core.TraverseCtx(ctx, h.h, &h.getBuf, h.getProt, h.getBackup, t)
+		c, found, ok, err := h.walkGet(ctx, key)
 		if err != nil {
 			return 0, false, err
 		}
@@ -271,12 +345,12 @@ func (h *ExpeditedHandle) GetCtx(ctx context.Context, key int64) (int64, bool, e
 			if attempt > 0 {
 				runtime.Gosched()
 			}
-			continue
+			continue // checkpointed on a node that got marked; rare
 		}
 		if !found {
 			return 0, false, nil
 		}
-		return l.At(c.cur).Val.Load(), true, nil
+		return h.l.List.At(c.cur).Val.Load(), true, nil
 	}
 }
 

@@ -11,9 +11,9 @@
 // Variants:
 //
 //   - EBR/NR  (hlist.EBR):       coarse critical section per operation.
-//   - HP-RCU / HP-BRCU (hlist.Expedited): the Traverse engine; run
-//     excision happens inside an abort-masked region with the excision
-//     operands protected by outliving shields.
+//   - HP-RCU / HP-BRCU (hlist.Expedited): loops over the core.Walk
+//     primitives; run excision happens inside an abort-masked region
+//     with the excision operands protected by outliving shields.
 //   - NBR (hlist.NBR):           read-phase traversal, write-phase
 //     excision (the list is access-aware when gets also restart).
 //

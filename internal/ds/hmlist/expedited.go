@@ -49,17 +49,17 @@ type cursor struct {
 }
 
 // protector checkpoints a cursor into two shields (Algorithm 8's
-// ListCursorProtector).
+// ListCursorProtector). A handle owns two (the §4.3 double buffer);
+// index 1 holds a finished search's result.
 type protector struct {
 	prevS, curS *hp.Shield
 }
 
-func newProtector(h *core.Handle) *protector {
-	return &protector{prevS: h.NewShield(), curS: h.NewShield()}
+func newProtector(h *core.Handle) protector {
+	return protector{prevS: h.NewShield(), curS: h.NewShield()}
 }
 
-// Protect implements core.Protector.
-func (p *protector) Protect(c *cursor) {
+func (p *protector) protect(c *cursor) {
 	p.prevS.ProtectSlot(c.prev)
 	p.curS.Protect(c.cur)
 }
@@ -77,12 +77,8 @@ type ExpeditedHandle struct {
 	h     *core.Handle
 	cache *alloc.Cache[lnode.Node]
 
-	prot, backup        *protector
+	prots               [2]protector
 	maskPrevS, maskCurS *hp.Shield
-
-	// Handle-owned cursor storage for the Traverse engine, so traversals
-	// never heap-allocate their cursors.
-	searchBuf core.CursorBuf[cursor]
 }
 
 // Register creates a thread handle.
@@ -90,8 +86,7 @@ func (l *Expedited) Register() *ExpeditedHandle {
 	h := l.dom.Register()
 	return &ExpeditedHandle{
 		l: l, h: h, cache: l.Pool.NewCache(),
-		prot:      newProtector(h),
-		backup:    newProtector(h),
+		prots:     [2]protector{newProtector(h), newProtector(h)},
 		maskPrevS: h.NewShield(),
 		maskCurS:  h.NewShield(),
 	}
@@ -99,10 +94,8 @@ func (l *Expedited) Register() *ExpeditedHandle {
 
 // Unregister releases the handle.
 func (h *ExpeditedHandle) Unregister() {
-	h.prot.prevS.Clear()
-	h.prot.curS.Clear()
-	h.backup.prevS.Clear()
-	h.backup.curS.Clear()
+	h.prots[0].ClearProtection()
+	h.prots[1].ClearProtection()
 	h.maskPrevS.Clear()
 	h.maskCurS.Clear()
 	h.h.Unregister()
@@ -116,64 +109,102 @@ func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 // and reap state of the handle it wraps.
 func (h *ExpeditedHandle) Core() *core.Handle { return h.h }
 
-// search runs the expedited traversal (Algorithm 8's TrySearch): it
-// returns the protected position of key. ok is false when the operation
-// must be retried (failed revalidation or helping CAS).
+// valid reports whether a checkpointed cursor can be resumed from: cur
+// is not logically deleted (§3.3). A nil cur cannot be marked, so the
+// tail cursor checks its predecessor.
+func valid(l *lnode.List, c *cursor) bool {
+	if c.cur.IsNil() {
+		return l.Pool.At(c.prev).Next.Load().Tag() == 0
+	}
+	return l.At(c.cur).Next.Load().Tag() == 0
+}
+
+// search runs the expedited traversal (Algorithm 8's TrySearch) on the
+// walk primitives: it returns the position of key, protected by
+// prots[1]. ok is false when the operation must be retried (failed
+// revalidation or helping CAS).
 func (h *ExpeditedHandle) search(key int64) (cursor, bool, bool) {
 	l := h.l.List
-	t := core.Traversal[cursor, bool]{
-		Init: func() cursor {
-			return cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
-		},
-		// Validate: resuming is safe while cur is not logically deleted
-		// (§3.3). A nil cur cannot be marked.
-		Validate: func(c *cursor) bool {
-			if c.cur.IsNil() {
-				return l.Pool.At(c.prev).Next.Load().Tag() == 0
+	var (
+		w    core.Walk
+		c    cursor
+		ckpt [2]cursor
+	)
+	w.Begin(h.h)
+	defer w.Recover("search", &h.prots[0], &h.prots[1])
+	for w.Enter() {
+		if w.Fresh() {
+			c = cursor{prev: l.Head, cur: l.Pool.At(l.Head).Next.Load()}
+			i := w.Next()
+			h.prots[i].protect(&c)
+			ckpt[i] = c
+			if !w.Start() {
+				continue
 			}
-			return l.At(c.cur).Next.Load().Tag() == 0
-		},
-		Step: func(c *cursor) (core.StepKind, bool) {
-			if c.cur.IsNil() {
-				return core.StepFinish, false
-			}
-			curN := l.At(c.cur)
-			next := curN.Next.Load()
-			if next.Tag() != 0 {
-				// Physical deletion is rollback-safe but not
-				// abort-rollback-safe (it retires); run it masked
-				// with the operands protected by outliving shields
-				// (Algorithm 8 lines 23-27).
-				next = next.Untagged()
-				h.maskPrevS.ProtectSlot(c.prev)
-				h.maskCurS.Protect(c.cur)
-				succ := false
-				ran, mustRollback := h.h.Mask(func() {
-					if l.Pool.At(c.prev).Next.CompareAndSwap(c.cur, next) {
-						l.Pool.Hdr(c.cur.Slot()).Retire()
-						h.h.Retire(c.cur.Slot(), l.Pool)
-						succ = true
+		} else if c = ckpt[w.Idx()]; !valid(l, &c) {
+			w.Fail()
+			return c, false, false
+		}
+		for w.Tick() {
+			done, hit := c.cur.IsNil(), false
+			if !done {
+				curN := l.At(c.cur)
+				next := curN.Next.Load()
+				if next.Tag() != 0 {
+					// Physical deletion is rollback-safe but not
+					// abort-rollback-safe (it retires); run it masked
+					// with the operands protected by outliving shields
+					// (Algorithm 8 lines 23-27).
+					next = next.Untagged()
+					h.maskPrevS.ProtectSlot(c.prev)
+					h.maskCurS.Protect(c.cur)
+					prev, cur := c.prev, c.cur
+					succ := false
+					ran, mustRollback := h.h.Mask(func() {
+						if l.Pool.At(prev).Next.CompareAndSwap(cur, next) {
+							l.Pool.Hdr(cur.Slot()).Retire()
+							h.h.Retire(cur.Slot(), l.Pool)
+							succ = true
+						}
+					})
+					if mustRollback {
+						break
 					}
-				})
-				if mustRollback {
-					return core.StepAbort, false
+					if !ran || !succ {
+						w.Fail()
+						return c, false, false
+					}
+					c.cur = next
+				} else if k := curN.Key.Load(); k < key {
+					c.prev = c.cur.Slot()
+					c.cur = next
+				} else {
+					done, hit = true, k == key
 				}
-				if !ran || !succ {
-					return core.StepFail, false
+			}
+			if done {
+				i := w.Next()
+				h.prots[i].protect(&c)
+				ok, move := w.Finish()
+				if !ok {
+					break
 				}
-				c.cur = next
-				return core.StepContinue, false
+				if move {
+					h.prots[1].protect(&c)
+				}
+				return c, hit, true
 			}
-			if k := curN.Key.Load(); k >= key {
-				return core.StepFinish, k == key
+			if w.Due() && valid(l, &c) {
+				i := w.Next()
+				h.prots[i].protect(&c)
+				ckpt[i] = c
+				if !w.Commit() {
+					break
+				}
 			}
-			c.prev = c.cur.Slot()
-			c.cur = next
-			return core.StepContinue, false
-		},
+		}
 	}
-	c, found, ok := core.Traverse(h.h, &h.searchBuf, h.prot, h.backup, t)
-	return c, found, ok
+	return c, false, false // unreachable: a search is never cancellable
 }
 
 // Get returns the value mapped to key.

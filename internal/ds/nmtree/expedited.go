@@ -51,20 +51,21 @@ func (l *Expedited) Domain() *core.Domain { return l.dom }
 func (l *Expedited) LenSlow() int      { return l.t.lenSlow() }
 func (l *Expedited) KeysSlow() []int64 { return l.t.keysSlow() }
 
-// treeProtector checkpoints a seek cursor into four shields.
+// treeProtector checkpoints a seek cursor into four shields. A handle
+// owns two (the §4.3 double buffer); index 1 holds a finished seek's
+// record.
 type treeProtector struct {
 	ancS, sucS, parS, leafS *hp.Shield
 }
 
-func newTreeProtector(h *core.Handle) *treeProtector {
-	return &treeProtector{
+func newTreeProtector(h *core.Handle) treeProtector {
+	return treeProtector{
 		ancS: h.NewShield(), sucS: h.NewShield(),
 		parS: h.NewShield(), leafS: h.NewShield(),
 	}
 }
 
-// Protect implements core.Protector.
-func (p *treeProtector) Protect(c *seekCursor) {
+func (p *treeProtector) protect(c *seekCursor) {
 	p.ancS.ProtectSlot(c.sr.ancestor)
 	p.sucS.ProtectSlot(c.sr.successor)
 	p.parS.ProtectSlot(c.sr.parent)
@@ -86,11 +87,7 @@ type ExpeditedHandle struct {
 	h     *core.Handle
 	cache *alloc.Cache[node]
 
-	prot, backup *treeProtector
-
-	// Handle-owned cursor storage for the Traverse engine, so descents
-	// never heap-allocate their cursors.
-	seekBuf core.CursorBuf[seekCursor]
+	prots [2]treeProtector
 }
 
 // Register creates a thread handle.
@@ -98,8 +95,7 @@ func (l *Expedited) Register() *ExpeditedHandle {
 	h := l.dom.Register()
 	return &ExpeditedHandle{
 		l: l, h: h, cache: l.t.pool.NewCache(),
-		prot:   newTreeProtector(h),
-		backup: newTreeProtector(h),
+		prots: [2]treeProtector{newTreeProtector(h), newTreeProtector(h)},
 	}
 }
 
@@ -116,34 +112,77 @@ func (h *ExpeditedHandle) Barrier() { h.h.Barrier() }
 
 func (h *ExpeditedHandle) retire(slot uint64) { h.h.Retire(slot, h.l.t.pool) }
 
-// seek runs the descent under the Traverse engine and returns the
-// protected seek record.
-func (h *ExpeditedHandle) seek(key int64) seekRecord {
-	t := h.l.t
-	tr := core.Traversal[seekCursor, struct{}]{
-		Init: func() seekCursor { return t.seekInit() },
-		Validate: func(c *seekCursor) bool {
-			if c.sr.parent == t.root {
-				return true // initial cursor: resuming from the root
-			}
-			// The parent is certainly not retired if its key-side edge is
-			// still the clean edge we descended: any splice of parent is
-			// preceded by marking that edge (flag or tag), and marks are
-			// never removed from a field value.
-			e := t.childEdge(t.pool.At(c.sr.parent), key).Load()
-			return e == c.leafEdge && e.Tag() == 0
-		},
-		Step: func(c *seekCursor) (core.StepKind, struct{}) {
-			if t.seekStep(key, c) {
-				return core.StepFinish, struct{}{}
-			}
-			return core.StepContinue, struct{}{}
-		},
+// valid reports whether a checkpointed seek cursor can be resumed from.
+// The parent is certainly not retired if its key-side edge is still the
+// clean edge we descended: any splice of parent is preceded by marking
+// that edge (flag or tag), and marks are never removed from a field
+// value.
+func (t *tree) valid(key int64, c *seekCursor) bool {
+	if c.sr.parent == t.root {
+		return true // initial cursor: resuming from the root
 	}
+	e := t.childEdge(t.pool.At(c.sr.parent), key).Load()
+	return e == c.leafEdge && e.Tag() == 0
+}
+
+// trySeek runs one descent on the walk primitives and returns the seek
+// record, protected by prots[1]. The seek is pure, so a step never
+// writes; ok is false when a rollback invalidated a mid-path checkpoint.
+func (h *ExpeditedHandle) trySeek(key int64) (seekRecord, bool) {
+	t := h.l.t
+	var (
+		w    core.Walk
+		c    seekCursor
+		ckpt [2]seekCursor
+	)
+	w.Begin(h.h)
+	defer w.Recover("seek", &h.prots[0], &h.prots[1])
+	for w.Enter() {
+		if w.Fresh() {
+			c = t.seekInit()
+			i := w.Next()
+			h.prots[i].protect(&c)
+			ckpt[i] = c
+			if !w.Start() {
+				continue
+			}
+		} else if c = ckpt[w.Idx()]; !t.valid(key, &c) {
+			w.Fail()
+			return c.sr, false
+		}
+		for w.Tick() {
+			if next := t.seekEdge(key, &c); !next.IsNil() {
+				c.advance(next)
+				if w.Due() && t.valid(key, &c) {
+					i := w.Next()
+					h.prots[i].protect(&c)
+					ckpt[i] = c
+					if !w.Commit() {
+						break
+					}
+				}
+				continue
+			}
+			i := w.Next()
+			h.prots[i].protect(&c)
+			done, move := w.Finish()
+			if !done {
+				break
+			}
+			if move {
+				h.prots[1].protect(&c)
+			}
+			return c.sr, true
+		}
+	}
+	return c.sr, false // unreachable: a seek is never cancellable
+}
+
+// seek retries trySeek until it returns a protected seek record.
+func (h *ExpeditedHandle) seek(key int64) seekRecord {
 	for attempt := 0; ; attempt++ {
-		c, _, ok := core.Traverse(h.h, &h.seekBuf, h.prot, h.backup, tr)
-		if ok {
-			return c.sr
+		if sr, ok := h.trySeek(key); ok {
+			return sr
 		}
 		// Rollback invalidated a mid-path checkpoint: restart the seek.
 		if attempt > 0 {

@@ -11,8 +11,8 @@
 // tag bits, so one CAS covers address and state, as in the original.
 //
 // Variants: EBR/NR, NBR (the tree is access-aware: seeks are pure reads,
-// all writes happen after reservation), and HP-RCU/HP-BRCU via the
-// Traverse engine. Plain HP does not apply (Table 1): a seek may traverse
+// all writes happen after reservation), and HP-RCU/HP-BRCU via a seek
+// loop over the core.Walk primitives. Plain HP does not apply (Table 1): a seek may traverse
 // edges out of flagged/tagged nodes that a concurrent cleanup has already
 // retired, with no per-node validation possible.
 //
@@ -137,13 +137,25 @@ func (t *tree) seekInit() seekCursor {
 }
 
 // seekStep advances the cursor one edge. done is true once leaf is a true
-// leaf (descent finished).
+// leaf (descent finished). The expedited seek calls its two halves
+// directly, so both inline into its loop.
 func (t *tree) seekStep(key int64, c *seekCursor) (done bool) {
-	n := t.pool.At(c.sr.leaf)
-	nextEdge := t.childEdge(n, key).Load()
-	if nextEdge.IsNil() {
+	next := t.seekEdge(key, c)
+	if next.IsNil() {
 		return true // c.sr.leaf is a leaf
 	}
+	c.advance(next)
+	return false
+}
+
+// seekEdge loads the edge the descent follows out of the cursor's leaf;
+// it is nil once leaf is a true leaf.
+func (t *tree) seekEdge(key int64, c *seekCursor) atomicx.Ref {
+	return t.childEdge(t.pool.At(c.sr.leaf), key).Load()
+}
+
+// advance moves the cursor down the (non-nil) edge next.
+func (c *seekCursor) advance(next atomicx.Ref) {
 	if c.leafEdge.Tag()&tagBit == 0 {
 		// Edge parent→leaf is clean: (parent, leaf) is the deepest clean
 		// edge so far.
@@ -151,9 +163,8 @@ func (t *tree) seekStep(key int64, c *seekCursor) (done bool) {
 		c.sr.successor = c.sr.leaf
 	}
 	c.sr.parent = c.sr.leaf
-	c.sr.leaf = nextEdge.Slot()
-	c.leafEdge = nextEdge
-	return false
+	c.sr.leaf = next.Slot()
+	c.leafEdge = next
 }
 
 // newLeafAndInternal builds the replacement subtree for an insert: a new

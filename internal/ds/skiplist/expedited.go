@@ -74,15 +74,17 @@ type cursor struct {
 }
 
 // protector checkpoints a cursor: the live window plus every recorded
-// level, 2·MaxHeight+2 shields in total, written once per checkpoint.
+// level, 2·MaxHeight+2 shields in total, written once per checkpoint. A
+// handle owns two (the §4.3 double buffer); index 1 holds a finished
+// search's record.
 type protector struct {
 	predS, curS *hp.Shield
 	predsS      [MaxHeight]*hp.Shield
 	succsS      [MaxHeight]*hp.Shield
 }
 
-func newProtector(h *core.Handle) *protector {
-	p := &protector{predS: h.NewShield(), curS: h.NewShield()}
+func newProtector(h *core.Handle) protector {
+	p := protector{predS: h.NewShield(), curS: h.NewShield()}
 	for i := 0; i < MaxHeight; i++ {
 		p.predsS[i] = h.NewShield()
 		p.succsS[i] = h.NewShield()
@@ -90,13 +92,25 @@ func newProtector(h *core.Handle) *protector {
 	return p
 }
 
-// Protect implements core.Protector.
-func (p *protector) Protect(c *cursor) {
+func (p *protector) protect(c *cursor) {
 	p.predS.ProtectSlot(c.pred)
 	p.curS.Protect(c.cur)
 	for i := MaxHeight - 1; i > c.level; i-- {
-		p.predsS[i].ProtectSlot(c.preds[i])
-		p.succsS[i].Protect(c.succs[i])
+		keep(p.predsS[i], c.preds[i])
+		keep(p.succsS[i], c.succs[i].Slot())
+	}
+}
+
+// keep publishes slot in s unless s already holds it. The recorded
+// levels change little between operations — above the list's height
+// every record is head→nil — so most of a checkpoint's 2·MaxHeight
+// shield stores (sequentially consistent, a locked exchange each) would
+// rewrite the value already published. Skipping them is safe: the
+// shield has held slot continuously since its earlier store, which
+// precedes the checkpoint's commit poll as a fresh store would.
+func keep(s *hp.Shield, slot uint64) {
+	if s.Get() != slot {
+		s.ProtectSlot(slot)
 	}
 }
 
@@ -120,7 +134,7 @@ type getCursor struct {
 
 type getProtector struct{ predS, curS *hp.Shield }
 
-func (p *getProtector) Protect(c *getCursor) {
+func (p *getProtector) protect(c *getCursor) {
 	p.predS.ProtectSlot(c.pred)
 	p.curS.Protect(c.cur)
 }
@@ -138,15 +152,10 @@ type ExpeditedHandle struct {
 	cache *alloc.Cache[node]
 	rng   *atomicx.Rand
 
-	prot, backup                 *protector
-	getProt, getBackup           *getProtector
+	prots                        [2]protector
+	getProts                     [2]getProtector
 	maskPredS, maskCurS, maskNxS *hp.Shield
 	nodeS                        *hp.Shield
-
-	// Handle-owned cursor storage for the Traverse engine, one buffer per
-	// cursor type, so traversals never heap-allocate their (large) cursors.
-	searchBuf core.CursorBuf[cursor]
-	getBuf    core.CursorBuf[getCursor]
 }
 
 // Register creates a thread handle.
@@ -154,11 +163,12 @@ func (s *Expedited) Register() *ExpeditedHandle {
 	h := s.dom.Register()
 	return &ExpeditedHandle{
 		l: s, h: h, cache: s.l.pool.NewCache(),
-		rng:       atomicx.NewRand(nextSeed()),
-		prot:      newProtector(h),
-		backup:    newProtector(h),
-		getProt:   &getProtector{predS: h.NewShield(), curS: h.NewShield()},
-		getBackup: &getProtector{predS: h.NewShield(), curS: h.NewShield()},
+		rng:   atomicx.NewRand(nextSeed()),
+		prots: [2]protector{newProtector(h), newProtector(h)},
+		getProts: [2]getProtector{
+			{predS: h.NewShield(), curS: h.NewShield()},
+			{predS: h.NewShield(), curS: h.NewShield()},
+		},
 		maskPredS: h.NewShield(), maskCurS: h.NewShield(), maskNxS: h.NewShield(),
 		nodeS: h.NewShield(),
 	}
@@ -182,14 +192,28 @@ func (l *list) notRetired(slot uint64) bool {
 	return l.pool.At(slot).Next[0].Load().Tag() == 0
 }
 
-// search runs the expedited find. ok=false means the operation must be
-// retried from scratch (failed revalidation or a lost helping CAS).
-// On success preds/succs in the returned cursor are protected by prot.
+// valid reports whether a checkpointed window can be resumed from:
+// neither its predecessor nor its current node is retired yet.
+func (l *list) valid(pred uint64, cur atomicx.Ref) bool {
+	return l.notRetired(pred) && (cur.IsNil() || l.notRetired(cur.Slot()))
+}
+
+// search runs the expedited find on the walk primitives. ok=false means
+// the operation must be retried from scratch (failed revalidation or a
+// lost helping CAS). On success preds/succs in the returned cursor are
+// protected by prots[1].
 func (h *ExpeditedHandle) search(key int64, target atomicx.Ref) (cursor, bool, bool) {
 	l := h.l.l
-	t := core.Traversal[cursor, bool]{
-		Init: func() cursor {
-			c := cursor{
+	var (
+		w    core.Walk
+		c    cursor
+		ckpt [2]cursor
+	)
+	w.Begin(h.h)
+	defer w.Recover("search", &h.prots[0], &h.prots[1])
+	for w.Enter() {
+		if w.Fresh() {
+			c = cursor{
 				level:  MaxHeight - 1,
 				pred:   l.head,
 				cur:    l.pool.At(l.head).Next[MaxHeight-1].Load().Untagged(),
@@ -198,15 +222,17 @@ func (h *ExpeditedHandle) search(key int64, target atomicx.Ref) (cursor, bool, b
 			if !c.cur.IsNil() && c.cur == target {
 				c.saw = true
 			}
-			return c
-		},
-		Validate: func(c *cursor) bool {
-			if !l.notRetired(c.pred) {
-				return false
+			i := w.Next()
+			h.prots[i].protect(&c)
+			ckpt[i] = c
+			if !w.Start() {
+				continue
 			}
-			return c.cur.IsNil() || l.notRetired(c.cur.Slot())
-		},
-		Step: func(c *cursor) (core.StepKind, bool) {
+		} else if c = ckpt[w.Idx()]; !l.valid(c.pred, c.cur) {
+			w.Fail()
+			return c, false, false
+		}
+		for w.Tick() {
 			// A marked node must be unlinked before the key comparison:
 			// a logically deleted node with key >= the search key would
 			// otherwise be recorded as a successor (and the deleter's
@@ -221,18 +247,20 @@ func (h *ExpeditedHandle) search(key int64, target atomicx.Ref) (cursor, bool, b
 						n := l.at(c.cur)
 						found = n.Key.Load() == key && n.Next[0].Load().Tag() == 0
 					}
-					return core.StepFinish, found
+					i := w.Next()
+					h.prots[i].protect(&c)
+					done, move := w.Finish()
+					if !done {
+						break
+					}
+					if move {
+						h.prots[1].protect(&c)
+					}
+					return c, found, true
 				}
 				c.level--
 				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
-				if !c.cur.IsNil() && c.cur == c.target {
-					c.saw = true
-				}
-				return core.StepContinue, false
-			}
-			n := l.at(c.cur)
-			next := n.Next[c.level].Load()
-			if next.Tag() != 0 {
+			} else if next := l.at(c.cur).Next[c.level].Load(); next.Tag() != 0 {
 				// cur is marked at this level: unlink inside a masked
 				// region with the operands shielded (no retirement here —
 				// the clean-pass owner retires).
@@ -247,27 +275,31 @@ func (h *ExpeditedHandle) search(key int64, target atomicx.Ref) (cursor, bool, b
 					succ = l.pool.At(pred).Next[level].CompareAndSwap(cur, nu)
 				})
 				if mustRollback {
-					return core.StepAbort, false
+					break
 				}
 				if !ran || !succ {
-					return core.StepFail, false
+					w.Fail()
+					return c, false, false
 				}
 				c.cur = nu
-				if !c.cur.IsNil() && c.cur == c.target {
-					c.saw = true
-				}
-				return core.StepContinue, false
+			} else {
+				c.pred = c.cur.Slot()
+				c.cur = next.Untagged()
 			}
-			c.pred = c.cur.Slot()
-			c.cur = next.Untagged()
 			if !c.cur.IsNil() && c.cur == c.target {
 				c.saw = true
 			}
-			return core.StepContinue, false
-		},
+			if w.Due() && l.valid(c.pred, c.cur) {
+				i := w.Next()
+				h.prots[i].protect(&c)
+				ckpt[i] = c
+				if !w.Commit() {
+					break
+				}
+			}
+		}
 	}
-	c, found, ok := core.Traverse(h.h, &h.searchBuf, h.prot, h.backup, t)
-	return c, found, ok
+	return c, false, false // unreachable: a search is never cancellable
 }
 
 // find retries search until it succeeds, yielding between attempts so
@@ -294,25 +326,36 @@ func (h *ExpeditedHandle) Get(key int64) (int64, bool) {
 	return h.l.l.at(c.succs[0]).Val.Load(), true
 }
 
-// GetOptimistic is the wait-free-style get on the Traverse engine: it
-// skips marked nodes without helping (lock-free under HP-BRCU).
-func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
+// tryGet is one optimistic descent on the walk primitives: it skips
+// marked nodes without helping, so a step never writes. ok is false when
+// a resumed checkpoint failed revalidation.
+func (h *ExpeditedHandle) tryGet(key int64) (getCursor, bool, bool) {
 	l := h.l.l
-	t := core.Traversal[getCursor, bool]{
-		Init: func() getCursor {
-			return getCursor{
+	var (
+		w    core.Walk
+		c    getCursor
+		ckpt [2]getCursor
+	)
+	w.Begin(h.h)
+	defer w.Recover("GetOptimistic", &h.getProts[0], &h.getProts[1])
+	for w.Enter() {
+		if w.Fresh() {
+			c = getCursor{
 				level: MaxHeight - 1,
 				pred:  l.head,
 				cur:   l.pool.At(l.head).Next[MaxHeight-1].Load().Untagged(),
 			}
-		},
-		Validate: func(c *getCursor) bool {
-			if !l.notRetired(c.pred) {
-				return false
+			i := w.Next()
+			h.getProts[i].protect(&c)
+			ckpt[i] = c
+			if !w.Start() {
+				continue
 			}
-			return c.cur.IsNil() || l.notRetired(c.cur.Slot())
-		},
-		Step: func(c *getCursor) (core.StepKind, bool) {
+		} else if c = ckpt[w.Idx()]; !l.valid(c.pred, c.cur) {
+			w.Fail()
+			return c, false, false
+		}
+		for w.Tick() {
 			if c.cur.IsNil() || l.at(c.cur).Key.Load() >= key {
 				if c.level == 0 {
 					found := false
@@ -320,25 +363,43 @@ func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 						n := l.at(c.cur)
 						found = n.Key.Load() == key && n.Next[0].Load().Tag() == 0
 					}
-					return core.StepFinish, found
+					i := w.Next()
+					h.getProts[i].protect(&c)
+					done, move := w.Finish()
+					if !done {
+						break
+					}
+					if move {
+						h.getProts[1].protect(&c)
+					}
+					return c, found, true
 				}
 				c.level--
 				c.cur = l.pool.At(c.pred).Next[c.level].Load().Untagged()
-				return core.StepContinue, false
-			}
-			n := l.at(c.cur)
-			next := n.Next[c.level].Load()
-			if next.Tag() != 0 {
+			} else if next := l.at(c.cur).Next[c.level].Load(); next.Tag() != 0 {
 				c.cur = next.Untagged() // skip marked, no helping
-				return core.StepContinue, false
+			} else {
+				c.pred = c.cur.Slot()
+				c.cur = next.Untagged()
 			}
-			c.pred = c.cur.Slot()
-			c.cur = next.Untagged()
-			return core.StepContinue, false
-		},
+			if w.Due() && l.valid(c.pred, c.cur) {
+				i := w.Next()
+				h.getProts[i].protect(&c)
+				ckpt[i] = c
+				if !w.Commit() {
+					break
+				}
+			}
+		}
 	}
+	return c, false, false // unreachable: a get is never cancellable
+}
+
+// GetOptimistic is the wait-free-style get on the walk primitives: it
+// skips marked nodes without helping (lock-free under HP-BRCU).
+func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 	for attempt := 0; ; attempt++ {
-		c, found, ok := core.Traverse(h.h, &h.getBuf, h.getProt, h.getBackup, t)
+		c, found, ok := h.tryGet(key)
 		if !ok {
 			if attempt > 0 {
 				runtime.Gosched()
@@ -348,7 +409,7 @@ func (h *ExpeditedHandle) GetOptimistic(key int64) (int64, bool) {
 		if !found {
 			return 0, false
 		}
-		return l.at(c.cur).Val.Load(), true
+		return h.l.l.at(c.cur).Val.Load(), true
 	}
 }
 
@@ -401,7 +462,7 @@ func (h *ExpeditedHandle) Remove(key int64) (int64, bool) {
 	if !found {
 		return 0, false
 	}
-	ref := c.succs[0] // protected by prot
+	ref := c.succs[0] // protected by prots[1]
 	val := l.at(ref).Val.Load()
 	if !l.markTower(ref) {
 		return 0, false

@@ -14,8 +14,9 @@
 // retires it.
 //
 // Variants: EBR/NR; HP (per-level validated protection, the multi-shield
-// cost the paper shows in Figure 7d); HP-RCU / HP-BRCU via the Traverse
-// engine with helping unlinks inside abort-masked regions; and for every
+// cost the paper shows in Figure 7d); HP-RCU / HP-BRCU via loops over the
+// core.Walk primitives with helping unlinks inside abort-masked regions;
+// and for every
 // non-HP scheme a wait-free-style GetOptimistic that skips marked nodes
 // without helping (lock-free under HP-BRCU, footnote 9). NBR does not
 // apply (Table 1): helping unlinks occur mid-traversal.

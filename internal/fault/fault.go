@@ -68,8 +68,8 @@ const (
 	// location, deterministically forcing the "signal landed mid-region"
 	// branch of Algorithm 6.
 	SiteMaskAbort
-	// SiteStepRollback self-neutralizes the thread at a traversal step in
-	// core.Traverse, forcing a rollback to the last complete checkpoint at
+	// SiteStepRollback self-neutralizes the thread at a traversal step of
+	// a core.Walk, forcing a rollback to the last complete checkpoint at
 	// an arbitrary point of the walk.
 	SiteStepRollback
 	// SiteAdvanceStorm exhausts the signalling budget in
@@ -94,7 +94,7 @@ const (
 	// chaos harness between operations, not from library hot paths.
 	SiteLeak
 	// SitePanic panics with ErrInjectedPanic from inside a critical
-	// section — at a traversal step in core.Traverse and just inside an
+	// section — at a traversal step of a core.Walk and just inside an
 	// abort-masked region in brcu.Handle.Mask, in both cases before any
 	// shared-memory mutation — exercising the recover barrier's abort
 	// path. The caller panics; this package only decides.
@@ -128,6 +128,13 @@ const (
 	// dynamic (atomic) gate rather than the plain fault.On branch.
 	SiteShardStall
 
+	// SiteCheckpointRollback self-neutralizes the thread between a
+	// core.Walk checkpoint's protection and its commit poll — the §4.3
+	// double-buffer window, where the buffer being written is half
+	// published and only the previous complete checkpoint can be resumed
+	// from.
+	SiteCheckpointRollback
+
 	// NumSites is the number of injection sites.
 	NumSites
 )
@@ -137,6 +144,7 @@ var siteNames = [NumSites]string{
 	"step-rollback", "advance-storm", "drain-skip",
 	"alloc-stall", "alloc-exhaust", "free-stall", "leak", "panic",
 	"pool-leak", "net-read", "net-write", "net-drop", "shard-stall",
+	"checkpoint-rollback",
 }
 
 // String returns the site's name.

@@ -124,6 +124,7 @@ func (d *Domain) BindPool(p alloc.Binding) {
 	}
 	p.SetRecorder(d.rec)
 }
+
 type Handle struct {
 	status atomic.Uint64
 	_      atomicx.PadAfter

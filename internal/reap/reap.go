@@ -107,6 +107,12 @@ type Target interface {
 	// hook where internal/core forces a flush-and-reclaim round so the
 	// adopted garbage actually drains.
 	PostReap()
+	// Tidy runs at the end of every pass. A drain can leave nodes on the
+	// reaper's own handle that a live shield still protected at the
+	// time; once the workers are gone nothing else would scan that
+	// handle's retired list again, so internal/core rescans it here —
+	// a shield scan, with no epoch forcing.
+	Tidy()
 }
 
 // Config configures Start.
@@ -251,6 +257,7 @@ func (r *Reaper) run() {
 // tests can drive the protocol deterministically.
 func (r *Reaper) tick(now int64) {
 	defer r.ticks.Add(1)
+	defer r.tgt.Tidy()
 	r.tgt.PublishClock(now)
 	vs := r.tgt.Victims()
 

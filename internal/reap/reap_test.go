@@ -59,6 +59,7 @@ func (t *mockTarget) Remove(vs []Victim) {
 	t.removed = append(t.removed, vs...)
 }
 func (t *mockTarget) PostReap() { t.postReap++ }
+func (t *mockTarget) Tidy()     {}
 
 // testReaper builds a tick-driven reaper: lease timeout 100, grace 50 (in
 // the test's abstract nanosecond clock).

@@ -28,8 +28,9 @@
 // # Using the schemes with your own data structure
 //
 // Nodes live in slot-addressed pools (alloc.Pool) so links can carry mark
-// bits; a structure integrates HP-BRCU by implementing a cursor, a
-// Protector and a Validate/Step pair for the Traverse engine. See
+// bits; a structure integrates HP-BRCU by writing its traversal loop —
+// a cursor, a protector that checkpoints it into shields, a validation
+// and the step body — over the core.Walk primitives. See
 // examples/quickstart and the internal/ds packages.
 package hpbrcu
 
